@@ -95,6 +95,7 @@ class ParameterSpace:
         if len(set(names)) != len(names):
             raise ConfigurationError(f"duplicate parameter names: {names}")
         self._parameters: List[Parameter] = parameters
+        self._names: Tuple[str, ...] = tuple(names)
         self._index: Dict[str, int] = {p.name: i for i, p in enumerate(parameters)}
 
     # ------------------------------------------------------------------ #
@@ -121,7 +122,7 @@ class ParameterSpace:
     @property
     def names(self) -> List[str]:
         """Parameter names in solver order."""
-        return [p.name for p in self._parameters]
+        return list(self._names)
 
     @property
     def dimension(self) -> int:
@@ -160,7 +161,7 @@ class ParameterSpace:
         missing = set(self._index) - set(values)
         if missing:
             raise ConfigurationError(f"missing parameter(s): {sorted(missing)}")
-        return np.array([float(values[name]) for name in self.names], dtype=float)
+        return np.array([float(values[name]) for name in self._names], dtype=float)
 
     def to_dict(self, array: Sequence[float]) -> Dict[str, float]:
         """Convert a solver-ordered array into a ``{name: value}`` mapping."""
@@ -169,7 +170,16 @@ class ParameterSpace:
             raise ConfigurationError(
                 f"expected {self.dimension} values, got {array.shape[0]}"
             )
-        return {name: float(array[i]) for i, name in enumerate(self.names)}
+        return dict(zip(self._names, array.tolist()))
+
+    def is_canonical(self, values: object) -> bool:
+        """Whether ``values`` is already what :meth:`to_dict` returns: an
+        exact ``dict`` of Python floats keyed by the names in solver order."""
+        return (
+            type(values) is dict
+            and tuple(values) == self._names
+            and all(type(value) is float for value in values.values())
+        )
 
     # ------------------------------------------------------------------ #
     # Geometry

@@ -105,20 +105,24 @@ def check_scale_invariance(
         rule: The bargaining rule under test (default: the Nash solution).
         scale: Per-player positive scale factors of the affine map.
         shift: Per-player shifts of the affine map.
-        tolerance: Relative comparison slack.
+        tolerance: Comparison slack, relative to each player's largest
+            payoff magnitude in the rescaled game.
 
     Returns:
         An :class:`AxiomCheck` named ``"scale_invariance"``.
     """
     original = rule(game)
-    transformed = rule(game.rescaled(scale, shift))
+    rescaled = game.rescaled(scale, shift)
+    transformed = rule(rescaled)
     scale_array = np.asarray(scale, dtype=float)
     shift_array = np.asarray(shift, dtype=float)
     expected = np.asarray(original.payoff) * scale_array + shift_array
     actual = np.asarray(transformed.payoff)
-    satisfied = bool(
-        np.all(np.abs(actual - expected) <= tolerance * np.maximum(1.0, np.abs(expected)))
-    )
+    # Compare per player relative to the largest payoff magnitude of the
+    # rescaled game: an absolute floor such as ``max(1, |expected|)`` would
+    # let any pick pass once the payoffs are rescaled far below one.
+    magnitude = np.abs(rescaled.payoffs).max(axis=0)
+    satisfied = bool(np.all(np.abs(actual - expected) <= tolerance * magnitude))
     return AxiomCheck(
         name="scale_invariance",
         satisfied=satisfied,

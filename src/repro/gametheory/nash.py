@@ -40,8 +40,8 @@ def nash_bargaining_solution(game: BargainingGame, tolerance: float = 1e-12) -> 
     Args:
         game: The finite bargaining game (payoff sample + disagreement
             point) to solve.
-        tolerance: Slack used for individual-rationality and for deciding
-            ties on the Nash product.
+        tolerance: Absolute slack on the gains for individual rationality,
+            and slack relative to the best Nash product for deciding ties.
 
     Returns:
         The selected :class:`~repro.gametheory.game.BargainingPoint`; its
@@ -56,47 +56,30 @@ def nash_bargaining_solution(game: BargainingGame, tolerance: float = 1e-12) -> 
             "Nash bargaining is undefined: no alternative dominates the disagreement point"
         )
     gains = game.gains()
-    products = nash_product(gains)
     rational = game.individually_rational_indices(tolerance)
+    products = nash_product(gains)
+    best_product = products[rational].max()
 
-    # Among individually rational alternatives pick the largest product; break
-    # ties by the largest minimum gain, then by the largest total gain (both
-    # deterministic, symmetric rules).  The total-gain tie-break matters when
-    # every product ties at zero (one player cannot gain at all): without it
-    # the argmax could land on a Pareto-dominated point such as (0, 0) when
-    # (0, 1) is available.
-    best_index = -1
-    best_product = -np.inf
-    best_min_gain = -np.inf
-    best_total_gain = -np.inf
-    for index in rational:
-        product = float(products[index])
-        min_gain = float(np.min(gains[index]))
-        total_gain = float(np.sum(gains[index]))
-        if product > best_product + tolerance:
-            better = True
-        elif abs(product - best_product) <= tolerance and min_gain > best_min_gain:
-            better = True
-        elif (
-            abs(product - best_product) <= tolerance
-            and min_gain == best_min_gain
-            and total_gain > best_total_gain
-        ):
-            better = True
-        else:
-            better = False
-        if better:
-            best_index = int(index)
-            best_product = product
-            best_min_gain = min_gain
-            best_total_gain = total_gain
-    if best_index < 0:
-        raise BargainingError("failed to select a Nash bargaining outcome")
+    # Tied alternatives: products within a *relative* tolerance of the best.
+    # Among them drop any that another tied one Pareto-dominates, then take
+    # the lowest index.  Each step survives a positive affine rescaling of
+    # either utility and swapping the players.  A dominator of a tied
+    # alternative has at least its product, so it is tied too: the pick is
+    # Pareto-efficient in the whole game, also when every product ties at
+    # zero, e.g. (0, 0) against (0, 1).  On such ties no rule can also be
+    # independent of irrelevant alternatives on every game, e.g. on
+    # (3, 0), (0, 4), (5, 0).
+    tied = rational[products[rational] >= best_product * (1.0 - tolerance)]
+    tied_payoffs = game.payoffs[tied]
+    for best_index, target in zip(tied.tolist(), tied_payoffs):
+        dominated = np.all(tied_payoffs >= target, axis=1) & np.any(tied_payoffs > target, axis=1)
+        if not dominated.any():
+            break
     payoff = game.payoffs[best_index]
     gain = gains[best_index]
     return BargainingPoint(
         index=best_index,
         payoff=(float(payoff[0]), float(payoff[1])),
         gains=(float(gain[0]), float(gain[1])),
-        objective=best_product,
+        objective=float(products[best_index]),
     )

@@ -20,14 +20,16 @@ coercion and feasibility helpers shared by all of them.
 from __future__ import annotations
 
 import abc
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Mapping, Sequence, Union
 
 import numpy as np
 
 from repro.core.parameters import ParameterSpace
 from repro.exceptions import ConfigurationError
-from repro.network.traffic import TrafficModel
+from repro.network.traffic import RingTraffic, TrafficModel
 from repro.scenario import Scenario
 
 #: A parameter vector may be given as a mapping, a sequence or a numpy array.
@@ -61,7 +63,7 @@ class EnergyBreakdown:
             "sleep",
         ):
             value = getattr(self, name)
-            if not np.isfinite(value) or value < 0:
+            if not math.isfinite(value) or value < 0:
                 raise ConfigurationError(
                     f"EnergyBreakdown.{name} must be a finite non-negative number, got {value!r}"
                 )
@@ -136,6 +138,28 @@ class DutyCycledMACModel(abc.ABC):
     def traffic(self) -> TrafficModel:
         """The traffic model induced by the scenario."""
         return self._traffic
+
+    @cached_property
+    def _ring_table(self) -> Dict[int, RingTraffic]:
+        """Per-ring traffic of the scenario, computed once per model.
+
+        A memo on the model itself: ``model_fingerprint`` skips the model's
+        own ``cached_property`` slots but freezes nested objects whole, so a
+        memo kept on the traffic model would change every store key.
+        """
+        return self._traffic.all_rings()
+
+    def ring_traffic(self, ring: int) -> RingTraffic:
+        """The scenario's :class:`RingTraffic` at ``ring``, from :attr:`_ring_table`.
+
+        Anything but a plain in-range ``int`` is passed to
+        :meth:`TrafficModel.ring_traffic`, which validates it.
+        """
+        if type(ring) is int:
+            traffic = self._ring_table.get(ring)
+            if traffic is not None:
+                return traffic
+        return self._traffic.ring_traffic(ring)
 
     # ------------------------------------------------------------------ #
     # Abstract protocol-specific pieces
@@ -257,8 +281,16 @@ class DutyCycledMACModel(abc.ABC):
     # ------------------------------------------------------------------ #
 
     def coerce(self, params: ParameterVector) -> Dict[str, float]:
-        """Normalize any accepted parameter representation to a dictionary."""
+        """Normalize any accepted parameter representation to a dictionary.
+
+        A dictionary that is already normalized (see
+        :meth:`ParameterSpace.is_canonical`) is returned as is, not copied.
+        """
         space = self.parameter_space
+        if space.is_canonical(params):
+            return params
+        if isinstance(params, np.ndarray):
+            return space.to_dict(params)
         if isinstance(params, Mapping):
             # Validate names and ordering through the space round-trip.
             return space.to_dict(space.to_array(params))

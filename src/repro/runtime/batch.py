@@ -292,8 +292,8 @@ def build_runner(
     """Assemble a :class:`BatchRunner` from simple knobs.
 
     This is the one-stop constructor the CLI and the experiment drivers use:
-    ``workers`` picks the executor (1 → serial, N → process pool, ``None``/0
-    → one per CPU), ``use_cache`` toggles the process-wide solve cache, and
+    ``workers`` picks the executor (``None``/1 → serial, N → process pool,
+    0 → one per CPU), ``use_cache`` toggles the process-wide solve cache, and
     ``cache`` substitutes an explicit cache instance.
 
     Args:

@@ -44,7 +44,8 @@ def freeze(value: Any) -> Any:
 
     Handles the types that appear in solve identities: scalars, strings,
     mappings (order-insensitive), sequences, numpy arrays, dataclasses, and
-    plain objects (via their ``__dict__``).
+    plain objects (via their ``__dict__``).  Nested objects are frozen
+    whole, recursively: every attribute counts, memos included.
 
     Args:
         value: The value to freeze.
@@ -103,7 +104,9 @@ def model_fingerprint(model: DutyCycledMACModel) -> Any:
         A hashable tuple of the model's qualified class name, protocol name
         and frozen non-memoized instance state (lazy ``cached_property``
         memos are excluded, so a solved model fingerprints identically to a
-        fresh one).
+        fresh one).  Only the model's *own* memo slots are excluded: nested
+        objects such as the scenario are frozen whole by :func:`freeze`, so
+        a memo stored on one of them would change the fingerprint.
     """
     lazy = _lazy_attribute_names(type(model))
     state = {name: value for name, value in vars(model).items() if name not in lazy}

@@ -186,10 +186,11 @@ def resolve_executor(workers: Optional[int] = None, mode: str = "auto") -> Execu
     """Build an executor policy from a worker count and a mode name.
 
     Args:
-        workers: Desired concurrency.  ``None`` or ``0`` means "one worker
-            per CPU"; ``1`` selects the serial policy under ``mode="auto"``.
+        workers: Desired concurrency.  ``0`` means "one worker per CPU".
+            Under ``mode="auto"``, ``None`` and ``1`` select the serial
+            policy; an explicit pool mode sizes ``None`` like ``0``.
         mode: ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
-            (serial for one worker, process pool otherwise).
+            (serial for one worker or none given, process pool otherwise).
 
     Returns:
         The resolved :class:`ExecutorPolicy` instance.
@@ -210,6 +211,6 @@ def resolve_executor(workers: Optional[int] = None, mode: str = "auto") -> Execu
         return ThreadExecutor(workers)
     if mode == "process":
         return ProcessExecutor(workers)
-    if _effective_workers(workers) <= 1:
+    if workers is None or _effective_workers(workers) <= 1:
         return SerialExecutor()
     return ProcessExecutor(workers)

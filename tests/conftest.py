@@ -5,6 +5,7 @@ from __future__ import annotations
 from functools import cached_property
 
 import pytest
+from hypothesis import settings
 
 from repro.core.parameters import Parameter, ParameterSpace
 from repro.core.requirements import ApplicationRequirements
@@ -18,6 +19,11 @@ from repro.protocols.registry import register_protocol, unregister_protocol
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
 from repro.scenario import Scenario
+
+# Property tests draw the same examples on every host and run: no random
+# seed, and no local example database replaying earlier failures.
+settings.register_profile("repro", derandomize=True, database=None)
+settings.load_profile("repro")
 
 
 class AnalyticalOnlyMAC(DutyCycledMACModel):

@@ -48,10 +48,12 @@ class TestNashAxioms:
 
 
 class TestAxiomViolationsAreDetected:
-    def test_egalitarian_violates_scale_invariance(self):
+    @pytest.mark.parametrize("unit", [1.0, 1e-12])
+    def test_egalitarian_violates_scale_invariance(self, unit):
         # The egalitarian rule equalises absolute gains, so rescaling one
-        # player's utility changes the selected physical alternative.
-        game = symmetric_game()
+        # player's utility changes the selected physical alternative.  The
+        # check must see it whatever the payoffs' unit.
+        game = symmetric_game().rescaled((unit, unit), (0.0, 0.0))
         check = check_scale_invariance(game, rule=egalitarian_solution, scale=(10.0, 1.0), shift=(0.0, 0.0))
         assert not check.satisfied
 

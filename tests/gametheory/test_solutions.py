@@ -45,6 +45,23 @@ class TestNashSolution:
         point = nash_bargaining_solution(game)
         assert game.is_pareto_efficient(point.index, tolerance=1e-9)
 
+    @pytest.mark.parametrize(
+        "payoffs,scale",
+        [
+            ([(2.0, 1.0), (1.0, 2.0)], (2.0, 1.0)),
+            ([(0.0, 0.0), (3.0, 0.0), (0.0, 4.0)], (10.0, 1.0)),
+        ],
+    )
+    def test_tie_break_is_scale_invariant(self, payoffs, scale):
+        # Tied products must resolve to the same alternative after a
+        # rescaling; a tie-break on gains in one unit (min or total gain)
+        # flips on both games.
+        game = BargainingGame(payoffs, disagreement=(0.0, 0.0))
+        original = nash_bargaining_solution(game)
+        scaled = nash_bargaining_solution(game.rescaled(scale, (0.0, 0.0)))
+        assert scaled.index == original.index
+        assert game.is_pareto_efficient(original.index, tolerance=0.0)
+
     def test_nash_product_clips_negative_gains(self):
         products = nash_product(np.array([[-1.0, 5.0], [2.0, 3.0]]))
         assert products[0] == 0.0
