@@ -5,16 +5,18 @@ LMAC, SCP-MAC) and reports the event-engine throughput, then fans a batch
 of independently seeded replications out over the runtime's process pool
 and asserts the runtime guarantee extended to simulation workloads: the
 per-replication metrics of a parallel fan-out are identical to a serial
-loop.  A third stage times the array-batched replication engine against a
-scalar loop over the same seeds, asserts the results are bit-identical,
-and records the ``speedup_vs_scalar`` that ``tools/check_bench.py`` gates
-(≥5× by default).  The measurements are written to
-``BENCH_simulator.json`` (uploaded by the CI bench-smoke job).
+loop.  A third stage times the production simulator against the frozen
+per-event oracle (``tests/simulation/oracle/``) over the same seeds,
+asserts the results are bit-identical, and records the oracle-relative
+``speedup_vs_scalar`` that ``tools/check_bench.py`` gates (≥5× by
+default).  The measurements are written to ``BENCH_simulator.json``
+(uploaded by the CI bench-smoke job).
 """
 
 from __future__ import annotations
 
 import json
+import sys
 import time
 from pathlib import Path
 from typing import Tuple
@@ -24,11 +26,10 @@ from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.runtime import build_runner
 from repro.scenario import Scenario
-from repro.simulation import (
-    SimulationConfig,
-    simulate_protocol,
-    simulate_protocol_batched,
-)
+from repro.simulation import SimulationConfig, simulate_protocol
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests" / "simulation"))
+from oracle import simulate_oracle  # noqa: E402  (the oracle lives under tests/)
 
 #: Fixed benchmark environment: small enough to run routinely, busy enough
 #: (one sample per node per minute) that the event loop dominates.
@@ -46,8 +47,7 @@ PROTOCOL_PARAMS = {
 HORIZON = 600.0
 REPLICATIONS = 6
 
-#: Protocols with an array-batched kernel (see repro.simulation.batched) —
-#: since the engine-completion PR, all four of them.
+#: Protocols timed against the oracle in stage 3 (all four simulators).
 BATCHED_PROTOCOLS = ("dmac", "lmac", "scpmac", "xmac")
 
 ARTIFACT = Path("BENCH_simulator.json")
@@ -138,9 +138,11 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
         [{"seed": seed, "energy": energy, "delay": delay} for seed, energy, delay, _ in serial],
     )
 
-    # Stage 3: array-batched replication engine vs a scalar loop over the
+    # Stage 3: the production simulator vs the per-event oracle over the
     # same seeds — the differential guarantee (bit-identical results) and
     # the throughput win are measured back to back in the same process.
+    # The artifact keeps its "batched"/"scalar" key names: "scalar" is the
+    # oracle, the object-per-event simulator production replaced.
     batched_rows = []
     for name in BATCHED_PROTOCOLS:
         model = create_protocol(name, SCENARIO)
@@ -151,21 +153,18 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
         ]
 
         scalar_started = time.perf_counter()
-        scalar_results = [simulate_protocol(model, params, config) for config in configs]
+        scalar_results = [simulate_oracle(model, params, config) for config in configs]
         scalar_seconds = time.perf_counter() - scalar_started
 
         batched_started = time.perf_counter()
-        batched_results = simulate_protocol_batched(model, params, configs)
+        batched_results = [simulate_protocol(model, params, config) for config in configs]
         batched_seconds = time.perf_counter() - batched_started
 
         for config, scalar_result, batched_result in zip(
             configs, scalar_results, batched_results
         ):
-            assert batched_result.engine == "batched", (
-                f"{name} fell back to the scalar driver"
-            )
             assert batched_result.as_dict() == scalar_result.as_dict(), (
-                f"batched {name} diverged from scalar at seed {config.seed}"
+                f"{name} diverged from the oracle at seed {config.seed}"
             )
         total_events = sum(result.processed_events for result in batched_results)
         batched_eps = total_events / batched_seconds if batched_seconds > 0 else 0.0
@@ -189,10 +188,10 @@ def test_simulator_throughput_and_parallel_replications(benchmark):
         # Sanity floor only — the real ≥5x gate lives in tools/check_bench.py
         # (--min-batched-speedup), where it is configurable per runner.
         assert engine_speedup > 1.0, (
-            f"batched {name} slower than scalar ({engine_speedup:.2f}x)"
+            f"{name} slower than the oracle ({engine_speedup:.2f}x)"
         )
     print_series(
-        f"Batched replication engine ({REPLICATIONS} seeds, bit-identical)",
+        f"Simulator vs per-event oracle ({REPLICATIONS} seeds, bit-identical)",
         batched_rows,
     )
 

@@ -266,9 +266,8 @@ def _solver_options_of(spec: ExperimentSpec, grid_points: int) -> Dict[str, obje
     """The solver options one ``game-solve`` cell dispatches with.
 
     The grid-stage method comes from the spec's solver section unless the
-    runtime policy overrides it (``--solver-method``), mirroring how
-    ``sim_engine`` is resolved; the method knobs never reach the cache or
-    store keys (see :func:`repro.runtime.cache.solve_key`).
+    runtime policy overrides it (``--solver-method``); the method knobs
+    never reach the cache or store keys (see :func:`repro.runtime.cache.solve_key`).
     """
     solver = spec.solver
     method = spec.runtime.solver_method or solver.method
@@ -463,7 +462,6 @@ def _execute_validate(
     config = SimulationConfig(
         horizon=float(spec.simulation.horizon),
         seed=int(spec.simulation.seed),
-        engine=spec.runtime.sim_engine,
     )
     reports = validate_protocols(jobs, config, executor=runner.executor)
     records = []
@@ -508,7 +506,6 @@ def _execute_campaign(
         energy_tolerance=full.energy_tolerance,
         delay_tolerance=full.delay_tolerance,
         min_delivery_ratio=full.min_delivery_ratio,
-        sim_engine=full.sim_engine,
         solver_method=full.solver_method,
     )
     result = run_campaign(campaign_spec, runner)

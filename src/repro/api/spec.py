@@ -30,13 +30,13 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 from repro.optimization.hybrid import SOLVER_METHODS
-from repro.simulation.runner import SIM_ENGINES
 
 #: Every workload kind a spec may declare, in documentation order.
 WORKLOAD_KINDS = (
@@ -67,6 +67,15 @@ def _require_number(owner: str, name: str, value: object, positive: bool = True)
     return float(value)
 
 
+def _require_horizon(owner: str, value: object) -> float:
+    # JSON parses ``Infinity`` and ``NaN``; an infinite horizon would never
+    # end the simulator's traffic-scheduling loop.
+    horizon = _require_number(owner, "horizon", value)
+    if not math.isfinite(horizon):
+        raise ConfigurationError(f"{owner}.horizon must be finite, got {value!r}")
+    return horizon
+
+
 def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str]) -> None:
     unknown = sorted(set(payload) - set(known))
     if unknown:
@@ -74,6 +83,13 @@ def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str])
             f"unknown {owner} key(s): {', '.join(unknown)}; "
             f"known keys: {', '.join(known)}"
         )
+
+
+#: The retired runtime key that once chose between two bit-identical
+#: simulator engines, and the values it could take.  Specs and service
+#: journals written back then still carry it; it is read and dropped.
+_RETIRED_ENGINE_KEY = "sim_engine"
+_RETIRED_ENGINE_VALUES = ("scalar", "batched")
 
 
 @dataclass(frozen=True)
@@ -86,28 +102,19 @@ class RuntimePolicy:
         mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
             ``"process"``).
         chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
-        sim_engine: Simulation engine (``"scalar"`` or ``"batched"``).  The
-            engines are bit-identical, so this lives in the runtime section
-            (excluded from ``spec_hash``) and never changes a result.
         solver_method: Grid-stage solver override (``"exhaustive"`` or
             ``"adaptive"``); ``None`` defers to the spec's
-            ``solver.method``.  Like ``sim_engine``, the methods return
-            identical solutions, so the override is runtime provenance.
+            ``solver.method``.  The methods return identical solutions, so
+            the override is runtime provenance.
     """
 
     workers: int = 1
     cache: bool = True
     mode: str = "auto"
     chunk_size: Optional[int] = None
-    sim_engine: str = "scalar"
     solver_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.sim_engine not in SIM_ENGINES:
-            raise ConfigurationError(
-                f"runtime.sim_engine must be one of {', '.join(SIM_ENGINES)}; "
-                f"got {self.sim_engine!r}"
-            )
         if self.solver_method is not None and self.solver_method not in SOLVER_METHODS:
             raise ConfigurationError(
                 f"runtime.solver_method must be one of {', '.join(SOLVER_METHODS)}; "
@@ -116,10 +123,17 @@ class RuntimePolicy:
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RuntimePolicy":
+        payload = dict(payload)
+        if _RETIRED_ENGINE_KEY in payload:
+            engine = payload.pop(_RETIRED_ENGINE_KEY)
+            if engine not in _RETIRED_ENGINE_VALUES:
+                raise ConfigurationError(
+                    f"runtime.{_RETIRED_ENGINE_KEY} is retired (there is one "
+                    f"simulator) and only accepts the old values "
+                    f"{', '.join(_RETIRED_ENGINE_VALUES)}; got {engine!r}"
+                )
         _check_keys(
-            "runtime",
-            payload,
-            ("workers", "cache", "mode", "chunk_size", "sim_engine", "solver_method"),
+            "runtime", payload, ("workers", "cache", "mode", "chunk_size", "solver_method")
         )
         return cls(
             workers=int(payload.get("workers", 1)),
@@ -130,7 +144,6 @@ class RuntimePolicy:
                 if payload.get("chunk_size") is None
                 else int(payload["chunk_size"])  # type: ignore[arg-type]
             ),
-            sim_engine=str(payload.get("sim_engine", "scalar")),
             solver_method=(
                 None
                 if payload.get("solver_method") is None
@@ -144,7 +157,6 @@ class RuntimePolicy:
             "cache": self.cache,
             "mode": self.mode,
             "chunk_size": self.chunk_size,
-            "sim_engine": self.sim_engine,
             "solver_method": self.solver_method,
         }
 
@@ -327,9 +339,7 @@ class SimulationSettings:
     parameters: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "horizon", _require_number("simulation", "horizon", self.horizon)
-        )
+        object.__setattr__(self, "horizon", _require_horizon("simulation", self.horizon))
         if not isinstance(self.seed, int) or isinstance(self.seed, bool):
             raise ConfigurationError(
                 f"simulation.seed must be an integer, got {self.seed!r}"
@@ -377,6 +387,9 @@ class CampaignSettings:
     energy_tolerance: float = 0.35
     delay_tolerance: float = 0.6
     min_delivery_ratio: float = 0.9
+
+    def __post_init__(self) -> None:
+        _require_horizon("campaign", self.horizon)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSettings":

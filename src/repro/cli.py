@@ -115,8 +115,6 @@ def _scenario_ref(args: argparse.Namespace) -> dict:
 
 def _runtime_kwargs(args: argparse.Namespace) -> dict:
     kwargs = {"workers": args.workers, "cache": not args.no_cache}
-    if getattr(args, "sim_engine", None):
-        kwargs["sim_engine"] = args.sim_engine
     if getattr(args, "solver_method", None):
         kwargs["solver_method"] = args.solver_method
     return kwargs
@@ -163,13 +161,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         "(read-through/write-behind; created if missing)",
     )
     parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="simulation engine for packet-level replications "
-        "(bit-identical results; batched is faster for X-MAC/LMAC)",
-    )
-    parser.add_argument(
         "--solver-method",
         choices=("exhaustive", "adaptive"),
         default=None,
@@ -202,8 +193,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.with_runtime(workers=args.workers)
     if args.no_cache:
         spec = spec.with_runtime(cache=False)
-    if args.sim_engine is not None:
-        spec = spec.with_runtime(sim_engine=args.sim_engine)
     if args.solver_method is not None:
         spec = spec.with_runtime(solver_method=args.solver_method)
     plan = plan_experiment(spec)
@@ -347,8 +336,6 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         .with_protocols(args.protocol)
         .with_simulation(horizon=args.horizon, seed=args.seed)
     )
-    if args.sim_engine is not None:
-        spec = spec.with_runtime(sim_engine=args.sim_engine)
     result = run_experiment(spec)
     print(format_table(result.rows()))
     return EXIT_OK
@@ -510,12 +497,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", default=None, help="write the versioned result JSON to this path"
     )
     run_parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="override the spec's simulation engine (bit-identical results)",
-    )
-    run_parser.add_argument(
         "--solver-method",
         choices=("exhaustive", "adaptive"),
         default=None,
@@ -609,12 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     validate_parser.add_argument("protocol")
     validate_parser.add_argument("--horizon", type=float, default=2000.0)
     validate_parser.add_argument("--seed", type=int, default=1)
-    validate_parser.add_argument(
-        "--sim-engine",
-        choices=("scalar", "batched"),
-        default=None,
-        help="simulation engine (bit-identical results)",
-    )
     _add_scenario_arguments(validate_parser)
     validate_parser.set_defaults(handler=_cmd_validate)
 

@@ -1,34 +1,28 @@
-"""The batched replication driver: flat arrays, tuple events, one tight loop.
+"""One replication: flat arrays, tuple events, one tight loop.
 
-One replication of the scalar driver is a web of Python objects —
-``SensorNode`` + ``EnergyAccount`` + ``DataPacket`` per hop, a closure per
-scheduled event, one RNG round-trip per draw.  This driver keeps the exact
-same discrete-event semantics but stores the whole replication as flat,
-integer-indexed state:
+A replication is stored as flat, integer-indexed state rather than a web
+of per-node and per-packet objects:
 
 * node state as parallel lists (``rx``/``tx`` second accumulators, queue
   deques of ``(created_at, source)`` tuples, busy flags, per-node
-  ``busy_until`` standing in for the scalar ``Channel``),
+  ``busy_until`` medium reservations),
 * the event queue as a heap of ``(time, seq, sender, receiver)`` tuples,
-  with ``receiver == -1`` marking packet generation — sequence numbers are
-  allocated in the same order as the scalar ``Simulator`` so ties break
-  identically,
+  with ``receiver == -1`` marking packet generation — sequence numbers
+  break timestamp ties in scheduling order,
 * RNG draws vectorized: phases and traffic offsets as one array draw each,
   in-loop contention backoffs from a block-refilled buffer (identical
   values, identical stream position).
 
-Metrics are reduced with the same float expressions (and the same
-association) as ``EnergyAccount``/``SimulationResult``, so a batched
-replication is bit-for-bit identical to the scalar replication at the same
-seed — the property ``tests/simulation/test_batched_differential.py``
-enforces.
+Every replication is bit-for-bit identical to the per-event oracle under
+``tests/simulation/oracle/`` at the same seed — the property
+``tests/simulation/test_batched_differential.py`` enforces.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Dict, List, Sequence, Tuple, Type
+from typing import Dict, List, Tuple, Type
 
 import numpy as np
 
@@ -36,22 +30,18 @@ from repro.exceptions import SimulationError
 from repro.network.deployment import ring_deployment
 from repro.network.radio import RadioMode
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
-from repro.simulation.batched.kernels import BatchKernel, batch_kernel_for
-from repro.simulation.runner import (
-    SimulationConfig,
-    SimulationResult,
-    _SimulationRun,
-)
+from repro.simulation.batched.kernels import BatchKernel
+from repro.simulation.runner import SimulationConfig, SimulationResult
 
 
 class ReplicationState:
     """Flat per-replication state the hop planners operate on.
 
     Attributes:
-        rng: The replication's generator (same seed as the scalar run).
+        rng: The replication's generator, seeded with ``config.seed``.
         phases: Per-node phase offsets, indexed by node position.
         rings: Per-node ring index (hop distance from the sink).
-        busy_until: Per-node medium reservation end (the scalar Channel).
+        busy_until: Per-node medium reservation end.
         rx: Per-node accumulated RX seconds.
         tx: Per-node accumulated TX seconds.
         interference: Per-node tuple of node indices the medium reservation
@@ -102,9 +92,7 @@ def _run_replication(
     config: SimulationConfig,
     kernel_class: Type[BatchKernel],
 ) -> SimulationResult:
-    """Run one replication on the flat engine; mirrors ``_SimulationRun``."""
-    if config.max_events <= 0:
-        raise SimulationError("max_events must be positive")
+    """Run one replication of ``model`` at ``params`` with ``kernel_class``."""
     rng = np.random.default_rng(config.seed)
     deployment = config.deployment or ring_deployment(
         depth=model.scenario.depth,
@@ -121,9 +109,9 @@ def _run_replication(
     is_sink = [
         parent is None and ring == 0 for parent, ring in zip(raw_parents, rings)
     ]
-    # Scalar draw order: behaviour-construction draws first (SCP-MAC's
-    # network phase), then every node's phase (sink included), then one
-    # traffic offset per non-sink node — all as single vectorized draws.
+    # Draw order: the protocol's network-wide draws first (SCP-MAC's
+    # phase), then every node's phase (sink included), then one traffic
+    # offset per non-sink node — all as single vectorized draws.
     phases = kernel.assign_phases(rng, count, rings, is_sink)
 
     parent_ix: List[int] = []
@@ -202,7 +190,7 @@ def _run_replication(
                 queue.append((now, sender))
             continue
         # Hop completion: `sender` hands its head-of-queue packet to
-        # `receiver` (the scalar completion action, inlined).
+        # `receiver`.
         created_at, source = queues[sender].popleft()
         busy[sender] = False
         if is_sink[receiver]:
@@ -228,8 +216,8 @@ def _run_replication(
             heappush(heap, (completion, seq, sender, parent_ix[sender]))
             seq += 1
 
-    # Closed-form periodic costs, then the EnergyAccount reductions — same
-    # expressions, same association, commutative-safe term order.
+    # Closed-form periodic costs, then the per-node power reduction — the
+    # oracle's EnergyAccount expressions, association and term order.
     periodic_rows = kernel.periodic_seconds(horizon)
     radio = model.scenario.radio
     power_rx = radio.power(RadioMode.RX)
@@ -280,57 +268,7 @@ def _run_replication(
         channel_transmissions=state.transmissions,
         channel_deferrals=state.deferrals,
         processed_events=processed,
-        engine="batched",
     )
 
 
-def simulate_protocol_batched(
-    model: DutyCycledMACModel,
-    params: ParameterVector,
-    configs: Sequence[SimulationConfig],
-) -> List[SimulationResult]:
-    """Simulate R independently seeded replications of one configuration.
-
-    Behaviours with a registered batch kernel run on the flat array engine;
-    everything else falls back to the scalar driver per replication — unless
-    a config sets ``strict=True``, in which case the fallback raises so
-    callers can assert a protocol really ran batched.  Either way each
-    result is bit-identical to ``simulate_protocol(model, params, config)``
-    at the same config.
-
-    Args:
-        model: Analytical protocol model (defines scenario and timing).
-        params: Parameter vector to simulate (mapping or array).
-        configs: One :class:`SimulationConfig` per replication (typically
-            differing only in ``seed``).
-
-    Returns:
-        One :class:`SimulationResult` per config, in input order.
-
-    Raises:
-        SimulationError: if ``configs`` is empty, if a strict config would
-            fall back to the scalar driver, or on the scalar driver's error
-            conditions (no registered behaviour, runaway event budget,
-            unroutable node).
-    """
-    configs = list(configs)
-    if not configs:
-        raise SimulationError(
-            "simulate_protocol_batched needs at least one replication config"
-        )
-    kernel_class = batch_kernel_for(model)
-    if kernel_class is None:
-        if any(config.strict for config in configs):
-            raise SimulationError(
-                f"strict batched run requested but no batch kernel is "
-                f"registered for {type(model).__name__}; register one via "
-                f"register_batch_kernel or drop strict=True to allow the "
-                f"scalar fallback"
-            )
-        return [_SimulationRun(model, params, config).run() for config in configs]
-    return [
-        _run_replication(model, params, config, kernel_class) for config in configs
-    ]
-
-
-__all__ = ["ReplicationState", "simulate_protocol_batched"]
+__all__ = ["ReplicationState"]

@@ -1,36 +1,35 @@
-"""Per-protocol batch kernels: the scalar behaviours' arithmetic, flattened.
+"""Per-protocol simulator kernels over flat per-replication arrays.
 
-A batch kernel is the array-engine counterpart of one
-:class:`~repro.simulation.mac.base.DutyCycleKernel` subclass.  It exposes
+A kernel holds one protocol's arithmetic for the engine in
+:mod:`repro.simulation.batched.engine`.  It exposes
 
-* :meth:`BatchKernel.assign_phases` — the behaviour's per-node phase draws
-  as one vectorized RNG call (element ``i`` is bit-identical to the ``i``-th
-  scalar draw, and the generator ends in the same stream position);
+* :meth:`BatchKernel.assign_phases` — the per-node phase draws as one
+  vectorized RNG call;
 * :meth:`BatchKernel.periodic_seconds` — the closed-form periodic cost
   table collapsed to ``(is_tx, seconds)`` rows, one value shared by every
   node;
-* :meth:`BatchKernel.make_hop_planner` — a closure that replays the
-  behaviour's ``plan_hop`` (acquire → exchange → overhear) against the flat
+* :meth:`BatchKernel.make_hop_planner` — a closure that plans one hop
+  (acquire → exchange → overhear) against the flat
   :class:`~repro.simulation.batched.engine.ReplicationState` arrays.
 
-Every float expression is copied from the scalar behaviour **verbatim**
-(same association, same constant folding, same ``max``/branch structure),
-because the differential harness asserts bit-for-bit equality of the
-resulting traces.  Constants that the scalar code recomputes per hop from
-other constants (e.g. X-MAC's strobe TX fraction) are hoisted out of the
-loop — folding is only legal when the folded value is bit-identical on
-every call.
+The kernels were written as draw-for-draw, operation-for-operation replicas
+of the per-event simulator that preceded them, which now lives under
+``tests/simulation/oracle/`` as the frozen differential oracle.  Every float
+expression keeps the oracle's association, constant folding and
+``max``/branch structure, because the differential harness asserts
+bit-for-bit equality of the resulting traces.  Constants the oracle
+recomputes per hop from other constants (e.g. X-MAC's strobe TX fraction)
+are hoisted out of the loop — folding is only legal when the folded value
+is bit-identical on every call.
 
-Kernels are registered per *exact* behaviour class: a user-registered
-subclass of :class:`XMACSimBehaviour` inherits ``supports_batch`` but may
-override ``plan_hop``, so it falls back to the scalar driver instead of
-silently batching with the parent's arithmetic.
+:mod:`repro.simulation.mac.factory` maps each analytical model class to its
+kernel.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -40,12 +39,6 @@ from repro.protocols.dmac import DMACModel
 from repro.protocols.lmac import LMACModel
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
-from repro.simulation.mac.base import DutyCycleKernel
-from repro.simulation.mac.dmac import DMACSimBehaviour
-from repro.simulation.mac.factory import behaviour_class_for
-from repro.simulation.mac.lmac import LMACSimBehaviour
-from repro.simulation.mac.scpmac import CONTENTION_SLOTS, SCPMACSimBehaviour
-from repro.simulation.mac.xmac import XMACSimBehaviour
 
 #: Block size of buffered backoff draws.  Drawing ``uniform(0, s, size=k)``
 #: consumes the PCG64 stream exactly like ``k`` scalar draws, so refilling
@@ -53,18 +46,22 @@ from repro.simulation.mac.xmac import XMACSimBehaviour
 #: entries are simply never compared (the generator dies with the run).
 BACKOFF_BLOCK = 64
 
+#: SCP-MAC contention-window length in units of one clear-channel
+#: assessment.  Both contention phases use the same small window; it only
+#: has to spread the handful of same-epoch contenders of one neighbourhood.
+CONTENTION_SLOTS = 2.0
+
 
 class BatchKernel:
-    """Base class of the batch kernels; mirrors the scalar constant setup.
+    """Base class of the simulator kernels: the constants every protocol shares.
 
     Args:
-        model: The analytical protocol model (same object the scalar
-            behaviour is built from).
+        model: The analytical protocol model whose configuration is
+            simulated.
         params: Concrete parameter vector to simulate.
     """
 
-    #: Must equal the scalar behaviour's ``name`` so results are
-    #: indistinguishable across engines.
+    #: Protocol display name, reported as ``SimulationResult.protocol``.
     name: str = "abstract"
 
     def __init__(self, model: DutyCycledMACModel, params: ParameterVector) -> None:
@@ -75,7 +72,7 @@ class BatchKernel:
         self._packets = model.scenario.packets
         radio = self._radio
         packets = self._packets
-        # Same shared airtimes DutyCycleKernel.__init__ computes.
+        # Shared airtimes of the data/ack exchange and a channel poll.
         self._data = packets.data_airtime(radio)
         self._ack = packets.ack_airtime(radio)
         self._exchange = self._data + radio.turnaround_time + self._ack
@@ -83,7 +80,7 @@ class BatchKernel:
 
     @property
     def params(self) -> Dict[str, float]:
-        """The simulated parameter vector (same as the scalar behaviour's)."""
+        """The simulated parameter vector."""
         return dict(self._params)
 
     # ------------------------------------------------------------------ #
@@ -97,14 +94,13 @@ class BatchKernel:
         rings: Sequence[int],
         is_sink: Sequence[bool],
     ) -> List[float]:
-        """Phase offsets for ``count`` nodes, consuming the scalar draws.
+        """Phase offsets for ``count`` nodes, drawn as one vectorized call.
 
         ``rings`` and ``is_sink`` carry the deployment structure for
-        behaviours whose schedule is deterministic per ring (DMAC's
-        staggered ladder draws nothing); random-phase behaviours ignore
-        them and reproduce the scalar RNG consumption exactly (element
-        ``i`` bit-identical to the ``i``-th scalar draw, generator left in
-        the same stream position).
+        protocols whose schedule is deterministic per ring (DMAC's
+        staggered ladder draws nothing); random-phase protocols ignore
+        them.  Element ``i`` is bit-identical to the oracle's ``i``-th
+        per-node draw, and the generator ends in the same stream position.
         """
         raise NotImplementedError
 
@@ -115,10 +111,9 @@ class BatchKernel:
     def make_hop_planner(self, state):
         """Build ``plan(sender, receiver, now) -> completion`` over ``state``.
 
-        The planner mutates the replication's flat arrays exactly like the
-        scalar ``plan_hop`` mutates nodes/channel: reserves the medium
-        around the sender, accumulates RX/TX seconds on every charged node
-        and bumps the transmission/deferral counters.
+        The planner mutates the replication's flat arrays: it reserves the
+        medium around the sender, accumulates RX/TX seconds on every
+        charged node and bumps the transmission/deferral counters.
         """
         raise NotImplementedError
 
@@ -131,7 +126,7 @@ class BatchKernel:
 
         Every non-sink node pays the same rows, in table order — the engine
         adds them to each node's accumulated event seconds sequentially, so
-        the float association matches the scalar per-row ``charge`` calls.
+        the float association matches the oracle's per-row ``charge`` calls.
         """
         rows: List[Tuple[bool, float]] = []
         for is_tx, interval, duration, multiplier in self.periodic_table():
@@ -141,7 +136,7 @@ class BatchKernel:
 
 
 class XMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`XMACSimBehaviour`."""
+    """X-MAC: strobed preambles toward the receiver's next channel poll."""
 
     name = "X-MAC"
 
@@ -176,7 +171,7 @@ class XMACBatchKernel(BatchKernel):
         exchange = self._exchange
         data = self._data
         ack = self._ack
-        # Recomputed per hop in the scalar code but constant per run, so the
+        # Recomputed per hop in the oracle but constant per run, so the
         # folded values are bit-identical on every call.
         fraction = self._strobe / self._strobe_period
         listen_fraction = 1.0 - fraction
@@ -255,7 +250,7 @@ class XMACBatchKernel(BatchKernel):
 
 
 class LMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`LMACSimBehaviour`."""
+    """LMAC: one owned TDMA slot per node, data only in the owner's slot."""
 
     name = "LMAC"
 
@@ -342,7 +337,7 @@ class LMACBatchKernel(BatchKernel):
 
 
 class DMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`DMACSimBehaviour`."""
+    """DMAC: the staggered wake-up ladder with slot-overflow retry."""
 
     name = "DMAC"
 
@@ -404,7 +399,7 @@ class DMACBatchKernel(BatchKernel):
             else:
                 slot_start = phase + ceil((now - phase) / frame - 1e-12) * frame
             # The contention draw happens before the channel check, exactly
-            # like the scalar acquire_grant.
+            # like the oracle's acquire_grant.
             if draw_backoff:
                 if cursor >= len(buffer):
                     buffer = rng.uniform(
@@ -462,7 +457,7 @@ class DMACBatchKernel(BatchKernel):
 
 
 class SCPMACBatchKernel(BatchKernel):
-    """Array-engine twin of :class:`SCPMACSimBehaviour`."""
+    """SCP-MAC: synchronized polling, wakeup tone, two-phase contention."""
 
     name = "SCP-MAC"
 
@@ -487,8 +482,8 @@ class SCPMACBatchKernel(BatchKernel):
         is_sink: Sequence[bool],
     ) -> List[float]:
         del rings, is_sink
-        # One network-wide phase: a single scalar draw at the same stream
-        # position as the scalar behaviour's __init__ draw (nothing else
+        # One network-wide phase: a single draw at the same stream
+        # position as the oracle behaviour's __init__ draw (nothing else
         # touches the generator in between).
         self._phase = float(rng.uniform(0.0, self._poll))
         return [self._phase] * count
@@ -582,53 +577,3 @@ class SCPMACBatchKernel(BatchKernel):
             return completion
 
         return plan
-
-
-#: Exact behaviour class → batch kernel.  Intentionally not keyed by
-#: ``isinstance``: see the module docstring on subclass fallback.
-_KERNELS: Dict[Type[DutyCycleKernel], Type[BatchKernel]] = {
-    XMACSimBehaviour: XMACBatchKernel,
-    LMACSimBehaviour: LMACBatchKernel,
-    DMACSimBehaviour: DMACBatchKernel,
-    SCPMACSimBehaviour: SCPMACBatchKernel,
-}
-
-
-def batch_kernel_for(model: DutyCycledMACModel) -> Optional[Type[BatchKernel]]:
-    """Resolve the batch kernel class for a model, or None to fall back.
-
-    Returns None (scalar fallback) when the model's behaviour does not
-    declare ``supports_batch``, has no registered kernel for its *exact*
-    class, or has no behaviour at all — in the last case the scalar driver
-    raises the canonical "no simulated behaviour" error.
-
-    Args:
-        model: The analytical protocol model.
-    """
-    try:
-        behaviour_class = behaviour_class_for(model)
-    except SimulationError:
-        return None
-    if not getattr(behaviour_class, "supports_batch", False):
-        return None
-    return _KERNELS.get(behaviour_class)
-
-
-def register_batch_kernel(
-    behaviour_class: Type[DutyCycleKernel], kernel_class: Type[BatchKernel]
-) -> None:
-    """Register a batch kernel for a behaviour class.
-
-    Args:
-        behaviour_class: The scalar behaviour the kernel replicates
-            (matched by exact class in :func:`batch_kernel_for`).
-        kernel_class: The kernel implementation.
-
-    Raises:
-        SimulationError: if either argument has the wrong base class.
-    """
-    if not (isinstance(behaviour_class, type) and issubclass(behaviour_class, DutyCycleKernel)):
-        raise SimulationError("behaviour_class must derive from DutyCycleKernel")
-    if not (isinstance(kernel_class, type) and issubclass(kernel_class, BatchKernel)):
-        raise SimulationError("kernel_class must derive from BatchKernel")
-    _KERNELS[behaviour_class] = kernel_class

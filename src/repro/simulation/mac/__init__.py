@@ -1,50 +1,14 @@
-"""Per-protocol forwarding behaviours for the simulator.
+"""Which protocols the simulator covers.
 
-Each behaviour translates the protocol's operation into three things the
-runner needs: the periodic (traffic-independent) energy cost of a node, the
-time at which a queued packet can actually be handed to the next hop, and the
-energy charged to the sender, the receiver and the overhearing neighbours for
-that hop.
-
-All four built-in behaviours are subclasses of the shared
-:class:`~repro.simulation.mac.base.DutyCycleKernel` — the duty-cycle MAC
-state machine (kernel states, periodic-cost table, contention windows,
-data/ack exchange accounting); each subclass implements only its
-distinguishing transitions.
+:mod:`repro.simulation.mac.factory` maps each analytical model class to
+its kernel in :mod:`repro.simulation.batched.kernels` and answers, by
+protocol name, which registered protocols can be simulated.
 """
 
-from repro.simulation.mac.base import (
-    DutyCycleKernel,
-    HopOutcome,
-    KernelState,
-    MACSimBehaviour,
-    MediumGrant,
-    PeriodicCharge,
-    next_occurrence,
-)
-from repro.simulation.mac.xmac import XMACSimBehaviour
-from repro.simulation.mac.dmac import DMACSimBehaviour
-from repro.simulation.mac.lmac import LMACSimBehaviour
-from repro.simulation.mac.scpmac import SCPMACSimBehaviour
 from repro.simulation.mac.factory import (
     available_mac_protocols,
-    behaviour_for_model,
-    register_behaviour,
+    batch_kernel_for,
+    has_behaviour_for,
 )
 
-__all__ = [
-    "DutyCycleKernel",
-    "HopOutcome",
-    "KernelState",
-    "MACSimBehaviour",
-    "MediumGrant",
-    "PeriodicCharge",
-    "next_occurrence",
-    "XMACSimBehaviour",
-    "DMACSimBehaviour",
-    "LMACSimBehaviour",
-    "SCPMACSimBehaviour",
-    "available_mac_protocols",
-    "behaviour_for_model",
-    "register_behaviour",
-]
+__all__ = ["available_mac_protocols", "batch_kernel_for", "has_behaviour_for"]

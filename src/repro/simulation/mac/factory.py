@@ -1,10 +1,8 @@
-"""Factory mapping analytical models to simulated behaviours."""
+"""Factory mapping analytical models to their simulator kernels."""
 
 from __future__ import annotations
 
-from typing import List, Mapping, Sequence, Type
-
-import numpy as np
+from typing import Dict, List, Type
 
 from repro.exceptions import SimulationError
 from repro.protocols.base import DutyCycledMACModel
@@ -13,51 +11,52 @@ from repro.protocols.lmac import LMACModel
 from repro.protocols.registry import available_protocols, protocol_class
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
-from repro.simulation.mac.base import MACSimBehaviour
-from repro.simulation.mac.dmac import DMACSimBehaviour
-from repro.simulation.mac.lmac import LMACSimBehaviour
-from repro.simulation.mac.scpmac import SCPMACSimBehaviour
-from repro.simulation.mac.xmac import XMACSimBehaviour
+from repro.simulation.batched.kernels import (
+    BatchKernel,
+    DMACBatchKernel,
+    LMACBatchKernel,
+    SCPMACBatchKernel,
+    XMACBatchKernel,
+)
 
-#: Analytical-model class → simulated-behaviour class.
-_BEHAVIOURS: dict[Type[DutyCycledMACModel], Type[MACSimBehaviour]] = {
-    XMACModel: XMACSimBehaviour,
-    DMACModel: DMACSimBehaviour,
-    LMACModel: LMACSimBehaviour,
-    SCPMACModel: SCPMACSimBehaviour,
+#: Analytical-model class → simulator kernel class.  Subclasses of a
+#: listed model class simulate with its kernel.
+_KERNELS: Dict[Type[DutyCycledMACModel], Type[BatchKernel]] = {
+    XMACModel: XMACBatchKernel,
+    DMACModel: DMACBatchKernel,
+    LMACModel: LMACBatchKernel,
+    SCPMACModel: SCPMACBatchKernel,
 }
 
 
 def has_behaviour_for(model_class: Type[DutyCycledMACModel]) -> bool:
-    """Whether a simulated behaviour is registered for a model class.
+    """Whether a simulator kernel exists for a model class.
 
     Args:
         model_class: The analytical model class to look up (subclasses of a
-            registered class count, matching :func:`behaviour_for_model`).
+            listed class count, matching :func:`batch_kernel_for`).
 
     Returns:
-        True when :func:`behaviour_for_model` would succeed for instances
-        of ``model_class``.
+        True when :func:`batch_kernel_for` would succeed for instances of
+        ``model_class``.
     """
     return any(
         isinstance(model_class, type) and issubclass(model_class, registered)
-        for registered in _BEHAVIOURS
+        for registered in _KERNELS
     )
 
 
 def available_mac_protocols() -> List[str]:
     """Canonical names of the registered protocols that can be simulated.
 
-    Cross-references the protocol name registry with the behaviour registry,
-    so callers (spec validation, campaign assembly, CLI help) can tell
+    Cross-references the protocol name registry with the kernel table, so
+    callers (spec validation, campaign assembly, CLI help) can tell
     *simulatable* protocols apart from analytical-only ones by name before
     any model is constructed.
 
     Returns:
-        Sorted canonical protocol names with a registered simulated
-        behaviour (all four built-ins: ``dmac``, ``lmac``, ``scpmac``,
-        ``xmac`` — plus any user-registered protocol whose model class has
-        a behaviour registered via :func:`register_behaviour`).
+        Sorted canonical protocol names with a simulator (the four
+        built-ins: ``dmac``, ``lmac``, ``scpmac``, ``xmac``).
     """
     return [
         name
@@ -66,70 +65,22 @@ def available_mac_protocols() -> List[str]:
     ]
 
 
-def behaviour_class_for(model: DutyCycledMACModel) -> Type[MACSimBehaviour]:
-    """Resolve the behaviour class for a model without instantiating it.
-
-    Instantiating a behaviour may consume RNG draws; the batched engine uses
-    this to pick a batch kernel before any randomness is spent.
+def batch_kernel_for(model: DutyCycledMACModel) -> Type[BatchKernel]:
+    """Resolve the simulator kernel class for a model.
 
     Args:
         model: The analytical protocol model.
 
-    Returns:
-        The behaviour class :func:`behaviour_for_model` would instantiate.
-
     Raises:
-        SimulationError: if the model has no registered simulated
-            counterpart.
+        SimulationError: if the model has no simulated counterpart (an
+            analytical-only user-registered protocol); the message lists
+            the simulatable protocol names.
     """
-    for model_class, behaviour_class in _BEHAVIOURS.items():
+    for model_class, kernel_class in _KERNELS.items():
         if isinstance(model, model_class):
-            return behaviour_class
+            return kernel_class
     raise SimulationError(
         f"no simulated behaviour is registered for {type(model).__name__} "
         f"({model.name}); protocols with a simulator: "
         f"{', '.join(available_mac_protocols())}"
     )
-
-
-def behaviour_for_model(
-    model: DutyCycledMACModel,
-    params: Mapping[str, float] | Sequence[float] | np.ndarray,
-    rng: np.random.Generator,
-) -> MACSimBehaviour:
-    """Instantiate the simulated behaviour matching an analytical model.
-
-    Args:
-        model: The analytical protocol model.
-        params: Concrete parameter vector to simulate (mapping or array).
-        rng: Random generator for phases and backoffs.
-
-    Returns:
-        The behaviour instance bound to ``model``'s configuration.
-
-    Raises:
-        SimulationError: if the model has no registered simulated
-            counterpart (an analytical-only user-registered protocol); the
-            message lists the simulatable protocol names.
-    """
-    return behaviour_class_for(model)(model, params, rng)
-
-
-def register_behaviour(
-    model_class: Type[DutyCycledMACModel], behaviour_class: Type[MACSimBehaviour]
-) -> None:
-    """Register a simulated behaviour for a user-defined protocol model.
-
-    Args:
-        model_class: The analytical model class the behaviour simulates.
-        behaviour_class: The behaviour implementation.
-
-    Raises:
-        SimulationError: if either argument is not a subclass of the
-            expected base class.
-    """
-    if not issubclass(model_class, DutyCycledMACModel):
-        raise SimulationError("model_class must derive from DutyCycledMACModel")
-    if not issubclass(behaviour_class, MACSimBehaviour):
-        raise SimulationError("behaviour_class must derive from MACSimBehaviour")
-    _BEHAVIOURS[model_class] = behaviour_class

@@ -4,30 +4,22 @@
 deployment and returns a :class:`SimulationResult` with the same quantities
 the analytical model predicts (per-node average power, end-to-end delays per
 source ring), so the two can be compared directly by
-:mod:`repro.analysis.validation`.
+:mod:`repro.analysis.validation`.  Every run executes on the flat-array
+engine of :mod:`repro.simulation.batched`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
 from repro.exceptions import SimulationError
-from repro.network.deployment import ring_deployment
 from repro.network.topology import UnitDiskDeployment
 from repro.protocols.base import DutyCycledMACModel, ParameterVector
-from repro.simulation.channel import Channel
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.engine import Simulator
-from repro.simulation.mac.factory import behaviour_for_model
-from repro.simulation.node import SensorNode
-from repro.simulation.packets import DataPacket, DeliveryRecord, PacketLog
-
-
-#: Valid values of :attr:`SimulationConfig.engine`.
-SIM_ENGINES = ("scalar", "batched")
+from repro.simulation.mac.factory import batch_kernel_for
 
 
 @dataclass(frozen=True)
@@ -44,14 +36,6 @@ class SimulationConfig:
             by never getting a chance to be delivered.
         queue_capacity: Per-node forwarding-queue capacity.
         max_events: Safety budget for the event loop.
-        engine: ``"scalar"`` (the per-event object driver) or ``"batched"``
-            (the array engine of :mod:`repro.simulation.batched`).  The two
-            produce bit-identical results; the knob only trades Python
-            dispatch for array bookkeeping.
-        strict: Only meaningful with ``engine="batched"``: raise instead of
-            silently falling back to the scalar driver when the behaviour
-            has no registered batch kernel, so callers can assert a
-            protocol really ran batched.
     """
 
     horizon: float = 2000.0
@@ -60,26 +44,19 @@ class SimulationConfig:
     generation_cutoff: float = 0.9
     queue_capacity: int = 64
     max_events: int = 2_000_000
-    engine: str = "scalar"
-    strict: bool = False
 
     def __post_init__(self) -> None:
-        if self.horizon <= 0:
-            raise SimulationError(f"horizon must be positive, got {self.horizon!r}")
+        # An infinite horizon would never end the traffic-scheduling loop.
+        if not (math.isfinite(self.horizon) and self.horizon > 0):
+            raise SimulationError(
+                f"horizon must be positive and finite, got {self.horizon!r}"
+            )
         if not (0.0 < self.generation_cutoff <= 1.0):
             raise SimulationError("generation_cutoff must lie in (0, 1]")
         if self.queue_capacity < 1:
             raise SimulationError("queue_capacity must be >= 1")
-        if self.engine not in SIM_ENGINES:
-            raise SimulationError(
-                f"unknown simulation engine {self.engine!r}; "
-                f"choose from {', '.join(SIM_ENGINES)}"
-            )
-        if self.strict and self.engine != "batched":
-            raise SimulationError(
-                'strict=True requires engine="batched"; the scalar driver '
-                "has nothing to fall back from"
-            )
+        if self.max_events <= 0:
+            raise SimulationError("max_events must be positive")
 
 
 @dataclass
@@ -100,10 +77,6 @@ class SimulationResult:
         channel_deferrals: Number of carrier-sense deferrals.
         processed_events: Number of discrete events the engine processed
             (used by ``benchmarks/bench_simulator.py`` for events/second).
-        engine: Provenance: which driver actually produced this result
-            (``"scalar"`` or ``"batched"``).  Excluded from :meth:`as_dict`
-            on purpose — the two engines are bit-identical, so reports and
-            artifacts must not differ by engine.
     """
 
     protocol: str
@@ -118,7 +91,6 @@ class SimulationResult:
     channel_transmissions: int = 0
     channel_deferrals: int = 0
     processed_events: int = 0
-    engine: str = "scalar"
 
     # ------------------------------------------------------------------ #
     # Aggregates mirrored on the analytical model
@@ -182,170 +154,6 @@ class SimulationResult:
         }
 
 
-class _SimulationRun:
-    """Internal driver object wiring nodes, channel, behaviour and engine."""
-
-    def __init__(
-        self,
-        model: DutyCycledMACModel,
-        params: ParameterVector,
-        config: SimulationConfig,
-    ) -> None:
-        self._model = model
-        self._config = config
-        self._rng = np.random.default_rng(config.seed)
-        self._deployment = config.deployment or ring_deployment(
-            depth=model.scenario.depth,
-            density=model.scenario.density,
-            seed=config.seed,
-        )
-        self._behaviour = behaviour_for_model(model, params, self._rng)
-        self._simulator = Simulator(max_events=config.max_events)
-        self._channel = Channel(self._deployment)
-        self._log = PacketLog()
-        self._packet_counter = 0
-        self._nodes: Dict[int, SensorNode] = {}
-        for node_id in self._deployment.node_ids:
-            ring = self._deployment.ring_of[node_id]
-            parent = self._deployment.parent_of(node_id)
-            node = SensorNode(
-                node_id=node_id,
-                ring=ring,
-                parent=parent,
-                energy=EnergyAccount(radio=model.scenario.radio),
-                queue_capacity=config.queue_capacity,
-            )
-            node.phase = self._behaviour.assign_phase(node)
-            self._nodes[node_id] = node
-
-    # ------------------------------------------------------------------ #
-    # Traffic generation
-    # ------------------------------------------------------------------ #
-
-    def _schedule_traffic(self) -> None:
-        period = self._model.scenario.sampling_period
-        cutoff = self._config.horizon * self._config.generation_cutoff
-        for node in self._nodes.values():
-            if node.is_sink:
-                continue
-            offset = float(self._rng.uniform(0.0, period))
-            time = offset
-            while time < cutoff:
-                self._simulator.schedule_at(
-                    time,
-                    self._make_generation_action(node),
-                    label=f"generate@{node.node_id}",
-                )
-                time += period
-
-    def _make_generation_action(self, node: SensorNode):
-        def action() -> None:
-            self._packet_counter += 1
-            packet = DataPacket(
-                packet_id=self._packet_counter,
-                source=node.node_id,
-                created_at=self._simulator.now,
-            )
-            self._log.record_generated()
-            if node.enqueue(packet):
-                self._try_forward(node)
-
-        return action
-
-    # ------------------------------------------------------------------ #
-    # Forwarding
-    # ------------------------------------------------------------------ #
-
-    def _try_forward(self, node: SensorNode) -> None:
-        if node.is_sink or node.busy or not node.queue:
-            return
-        if node.parent is None:
-            raise SimulationError(f"node {node.node_id} has no route to the sink")
-        receiver = self._nodes[node.parent]
-        overhearers = [
-            self._nodes[neighbour]
-            for neighbour in self._deployment.neighbours_of(node.node_id)
-            if neighbour not in (node.parent, 0)
-        ]
-        node.busy = True
-        outcome = self._behaviour.plan_hop(
-            node, receiver, self._simulator.now, self._channel, overhearers
-        )
-        self._simulator.schedule_at(
-            outcome.completion,
-            self._make_completion_action(node, receiver),
-            label=f"complete@{node.node_id}",
-        )
-
-    def _make_completion_action(self, sender: SensorNode, receiver: SensorNode):
-        def action() -> None:
-            packet = sender.pop_head()
-            packet.record_hop(receiver.node_id)
-            sender.busy = False
-            if receiver.is_sink:
-                self._log.record_delivery(
-                    DeliveryRecord(
-                        packet_id=packet.packet_id,
-                        source=packet.source,
-                        source_ring=self._deployment.ring_of[packet.source],
-                        created_at=packet.created_at,
-                        delivered_at=self._simulator.now,
-                        hops=packet.hops,
-                    )
-                )
-            else:
-                if receiver.enqueue(packet):
-                    self._try_forward(receiver)
-            self._try_forward(sender)
-
-        return action
-
-    # ------------------------------------------------------------------ #
-    # Run
-    # ------------------------------------------------------------------ #
-
-    def run(self) -> SimulationResult:
-        self._schedule_traffic()
-        self._simulator.run_until(self._config.horizon)
-
-        horizon = self._config.horizon
-        for node in self._nodes.values():
-            if node.is_sink:
-                continue
-            self._behaviour.charge_periodic_energy(node, horizon)
-
-        node_power: Dict[int, float] = {}
-        ring_members: Dict[int, List[float]] = {}
-        dropped = 0
-        for node in self._nodes.values():
-            if node.is_sink:
-                continue
-            power = node.energy.average_power(horizon)
-            node_power[node.node_id] = power
-            ring_members.setdefault(node.ring, []).append(power)
-            dropped += node.dropped
-        ring_power = {ring: float(np.mean(values)) for ring, values in ring_members.items()}
-
-        delays_by_ring: Dict[int, List[float]] = {}
-        for record in self._log.delivered:
-            delays_by_ring.setdefault(record.source_ring, []).append(record.delay)
-
-        return SimulationResult(
-            protocol=self._behaviour.name,
-            parameters=self._behaviour.params,
-            horizon=horizon,
-            node_power=node_power,
-            ring_power=ring_power,
-            delays_by_ring=delays_by_ring,
-            generated_packets=self._log.generated,
-            delivered_packets=len(self._log.delivered),
-            dropped_packets=dropped,
-            channel_transmissions=self._channel.transmissions,
-            channel_deferrals=self._channel.deferrals,
-            processed_events=self._simulator.processed_events,
-        )
-
-
 def simulate_protocol(
     model: DutyCycledMACModel,
     params: ParameterVector,
@@ -366,14 +174,12 @@ def simulate_protocol(
         :mod:`repro.analysis.validation`.
 
     Raises:
-        SimulationError: if the model's protocol has no registered simulated
-            behaviour (an analytical-only user-registered protocol) or the
-            configuration is inconsistent.
+        SimulationError: if the model's protocol has no simulator (an
+            analytical-only user-registered protocol), the event budget
+            runs out, or a node has no route to the sink.
     """
-    config = config or SimulationConfig()
-    if config.engine == "batched":
-        # Imported lazily: the batched engine builds on this module.
-        from repro.simulation.batched import simulate_protocol_batched
+    kernel_class = batch_kernel_for(model)
+    # Imported here: the engine builds on this module's config and result.
+    from repro.simulation.batched.engine import _run_replication
 
-        return simulate_protocol_batched(model, params, [config])[0]
-    return _SimulationRun(model, params, config).run()
+    return _run_replication(model, params, config or SimulationConfig(), kernel_class)

@@ -169,6 +169,52 @@ class TestRunErrorPaths:
         )
 
 
+class TestRetiredSimEngine:
+    """The engine knob is gone; specs that still name an engine keep running."""
+
+    def test_sim_engine_flag_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", write_spec(tmp_path, GOOD_SOLVE), "--sim-engine", "batched"])
+        assert excinfo.value.code == EXIT_ERROR
+        assert "--sim-engine" in capsys.readouterr().err
+
+    def test_old_spec_file_naming_an_engine_runs(self, capsys, tmp_path):
+        old = {
+            "kind": "validate",
+            "scenario": {"depth": 3, "density": 4, "sampling_period": 60.0},
+            "protocols": ["xmac"],
+            "simulation": {"horizon": 120.0, "seed": 2},
+            "runtime": {"workers": 1, "sim_engine": "scalar"},
+        }
+        out = tmp_path / "result.json"
+        assert cli_main(["run", write_spec(tmp_path, old), "--out", str(out)]) == EXIT_OK
+        runtime = json.loads(out.read_text())["spec"]["runtime"]
+        assert "sim_engine" not in runtime
+
+    def test_unknown_engine_value_exits_2(self, capsys, tmp_path):
+        spec = dict(GOOD_SOLVE, runtime={"sim_engine": "vectorized"})
+        assert cli_main(["run", write_spec(tmp_path, spec)]) == EXIT_ERROR
+        assert "sim_engine" in capsys.readouterr().err
+
+
+class TestNonFiniteHorizon:
+    def test_campaign_spec_with_infinite_horizon_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "campaign.json"
+        path.write_text(
+            '{"kind": "campaign", "scenarios": ["paper-default"], '
+            '"protocols": ["xmac"], "campaign": {"horizon": Infinity}}'
+        )
+        assert cli_main(["run", str(path)]) == EXIT_ERROR
+        assert "campaign.horizon must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_validate_campaign_flag_exits_2(self, capsys, value):
+        argv = ["validate-campaign", "--scenarios", "paper-default",
+                "--protocols", "xmac", "--horizon", value]
+        assert cli_main(argv) == EXIT_ERROR
+        assert "horizon" in capsys.readouterr().err
+
+
 class TestExitCodeContract:
     """Pin the documented exit codes the experiment service maps to HTTP.
 

@@ -161,3 +161,47 @@ class TestHash:
         base = ExperimentSpec.experiment("suite").with_protocols("xmac")
         parallel = base.with_runtime(workers=8, cache=False)
         assert base.spec_hash() == parallel.spec_hash()
+
+
+class TestRetiredSimEngine:
+    """Specs written while the simulator had two engines keep loading."""
+
+    @pytest.mark.parametrize("engine", ["scalar", "batched"])
+    def test_old_values_are_read_and_dropped(self, engine):
+        old = ExperimentSpec.from_dict(
+            {"kind": "solve", "runtime": {"workers": 2, "sim_engine": engine}}
+        )
+        new = ExperimentSpec.from_dict({"kind": "solve", "runtime": {"workers": 2}})
+        assert old == new
+        assert old.spec_hash() == new.spec_hash()
+        assert "sim_engine" not in old.to_dict()["runtime"]
+
+    def test_other_values_are_rejected(self):
+        with pytest.raises(ConfigurationError, match="sim_engine.*'vectorized'"):
+            ExperimentSpec.from_dict(
+                {"kind": "solve", "runtime": {"sim_engine": "vectorized"}}
+            )
+
+    def test_runtime_policy_has_no_engine_field(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec.experiment("solve").with_runtime(sim_engine="batched")
+
+
+class TestNonFiniteHorizons:
+    """JSON parses ``Infinity``/``NaN``; an infinite horizon never ends."""
+
+    @pytest.mark.parametrize("text", ["Infinity", "-Infinity", "NaN"])
+    def test_campaign_horizon_from_json(self, text):
+        document = '{"kind": "campaign", "campaign": {"horizon": %s}}' % text
+        with pytest.raises(ConfigurationError, match="campaign.horizon must be"):
+            ExperimentSpec.from_json(document)
+
+    @pytest.mark.parametrize("text", ["Infinity", "NaN"])
+    def test_simulation_horizon_from_json(self, text):
+        document = '{"kind": "validate", "simulation": {"horizon": %s}}' % text
+        with pytest.raises(ConfigurationError, match="simulation.horizon must be finite"):
+            ExperimentSpec.from_json(document)
+
+    def test_fluent_campaign_horizon(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentSpec.experiment("campaign").with_campaign(horizon=float("inf"))

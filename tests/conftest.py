@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import sys
 from functools import cached_property
+from pathlib import Path
 
 import pytest
 from hypothesis import settings
@@ -19,6 +21,10 @@ from repro.protocols.registry import register_protocol, unregister_protocol
 from repro.protocols.scpmac import SCPMACModel
 from repro.protocols.xmac import XMACModel
 from repro.scenario import Scenario
+
+# The frozen per-event simulator under tests/simulation/oracle/ is imported
+# as ``oracle`` by the differential tests in any test directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent / "simulation"))
 
 # Property tests draw the same examples on every host and run: no random
 # seed, and no local example database replaying earlier failures.

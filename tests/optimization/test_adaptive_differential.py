@@ -373,7 +373,7 @@ class TestArtifactIdentity:
             payload = result.as_dict()
             # The embedded spec honestly records the method it was asked to
             # run with; everything *computed* must be identical, exactly
-            # like runtime.workers in the sim_engine precedent.
+            # like runtime.workers.
             payload["spec"]["solver"] = {
                 key: value
                 for key, value in payload["spec"]["solver"].items()

@@ -1,14 +1,15 @@
-"""Property-based invariants of the array-batched replication engine.
+"""Property-based invariants of the flat-array simulator engine.
 
-Four families, per the batched-engine contract:
+Four families:
 
 * conservation — delivered/dropped packets never exceed the offered load;
 * accounting — per-state energy accumulators (RX/TX seconds, periodic
   rows, channel counters) are non-negative under direct kernel driving;
 * determinism — campaign artifacts are byte-identical across worker
-  counts, and scalar/batched runs are bit-identical at fuzzed seeds;
-* edges — R=0, R=1 and sub-duty-cycle horizons for the DMAC and SCP-MAC
-  kernels added by the engine-completion PR.
+  counts, and production runs are bit-identical to the frozen oracle at
+  fuzzed seeds;
+* edges — single replications and sub-duty-cycle horizons for the DMAC
+  and SCP-MAC kernels.
 """
 
 from __future__ import annotations
@@ -20,15 +21,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.exceptions import SimulationError
 from repro.network.deployment import ring_deployment
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig, simulate_protocol
-from repro.simulation.batched import batch_kernel_for, simulate_protocol_batched
 from repro.simulation.batched.engine import ReplicationState
+from repro.simulation.mac.factory import batch_kernel_for
 from repro.validation.campaign import CampaignSpec, run_campaign
+
+from oracle import simulate_oracle
 
 PROTOCOL_PARAMS = {
     "xmac": {"wakeup_interval": 0.3},
@@ -51,11 +53,9 @@ def _model(protocol: str, period: float = 30.0):
     return create_protocol(protocol, scenario)
 
 
-def _batched(protocol, seed, horizon, period=30.0):
+def _simulate(protocol, seed, horizon, period=30.0):
     model = _model(protocol, period)
-    config = SimulationConfig(
-        horizon=horizon, seed=seed, engine="batched", strict=True
-    )
+    config = SimulationConfig(horizon=horizon, seed=seed)
     return simulate_protocol(model, PROTOCOL_PARAMS[protocol], config)
 
 
@@ -70,8 +70,7 @@ class TestPacketConservation:
     def test_delivered_and_dropped_never_exceed_offered(
         self, protocol, seed, horizon, period
     ):
-        result = _batched(protocol, seed, horizon, period)
-        assert result.engine == "batched"
+        result = _simulate(protocol, seed, horizon, period)
         assert 0 <= result.delivered_packets <= result.generated_packets
         assert 0 <= result.dropped_packets
         # In-flight packets may remain queued at the horizon, so the two
@@ -94,7 +93,6 @@ class TestEnergyAccounting:
         # ReplicationState — the engine-independent accounting invariant.
         model = _model(protocol)
         kernel_class = batch_kernel_for(model)
-        assert kernel_class is not None, f"{protocol} lost its batch kernel"
         kernel = kernel_class(model, PROTOCOL_PARAMS[protocol])
         rng = np.random.default_rng(seed)
         deployment = ring_deployment(depth=3, density=4, seed=seed)
@@ -143,7 +141,7 @@ class TestEnergyAccounting:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
     )
     def test_node_powers_at_least_sleep_floor(self, protocol, seed):
-        result = _batched(protocol, seed, horizon=90.0)
+        result = _simulate(protocol, seed, horizon=90.0)
         model = _model(protocol)
         sleep = model.scenario.radio.power_sleep
         # Active states cost at least as much as sleeping, so average power
@@ -159,25 +157,16 @@ class TestDeterminism:
         seed=st.integers(min_value=0, max_value=2**31 - 1),
         horizon=st.sampled_from((40.0, 90.0, 150.0)),
     )
-    def test_scalar_and_batched_bit_identical(self, protocol, seed, horizon):
+    def test_production_and_oracle_bit_identical(self, protocol, seed, horizon):
         model = _model(protocol)
         params = PROTOCOL_PARAMS[protocol]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=horizon, seed=seed)
-        )
-        batched = simulate_protocol(
-            model,
-            params,
-            SimulationConfig(
-                horizon=horizon, seed=seed, engine="batched", strict=True
-            ),
-        )
-        assert scalar.engine == "scalar"
-        assert batched.engine == "batched"
-        assert scalar.node_power == batched.node_power
-        assert scalar.ring_power == batched.ring_power
-        assert scalar.delays_by_ring == batched.delays_by_ring
-        assert scalar.as_dict() == batched.as_dict()
+        config = SimulationConfig(horizon=horizon, seed=seed)
+        oracle = simulate_oracle(model, params, config)
+        production = simulate_protocol(model, params, config)
+        assert oracle.node_power == production.node_power
+        assert oracle.ring_power == production.ring_power
+        assert oracle.delays_by_ring == production.delays_by_ring
+        assert oracle.as_dict() == production.as_dict()
 
     @pytest.mark.slow
     def test_campaign_bytes_identical_across_worker_counts(self):
@@ -189,7 +178,6 @@ class TestDeterminism:
             replications=2,
             horizon=150.0,
             grid_points_per_dimension=12,
-            sim_engine="batched",
         )
         artifacts = []
         for workers in (1, 2):
@@ -201,44 +189,25 @@ class TestDeterminism:
 
 class TestNewKernelEdges:
     @pytest.mark.parametrize("protocol", NEW_KERNEL_PROTOCOLS)
-    def test_zero_replications_raise(self, protocol):
-        with pytest.raises(SimulationError, match="at least one replication"):
-            simulate_protocol_batched(
-                _model(protocol), PROTOCOL_PARAMS[protocol], []
-            )
-
-    @pytest.mark.parametrize("protocol", NEW_KERNEL_PROTOCOLS)
-    def test_single_replication_matches_scalar(self, protocol):
+    def test_single_replication_matches_oracle(self, protocol):
         model = _model(protocol)
         params = PROTOCOL_PARAMS[protocol]
-        config = SimulationConfig(
-            horizon=150.0, seed=5, engine="batched", strict=True
-        )
-        (batched,) = simulate_protocol_batched(model, params, [config])
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=150.0, seed=5)
-        )
-        assert batched.engine == "batched"
-        assert scalar.as_dict() == batched.as_dict()
+        config = SimulationConfig(horizon=150.0, seed=5)
+        production = simulate_protocol(model, params, config)
+        assert simulate_oracle(model, params, config).as_dict() == production.as_dict()
 
     @pytest.mark.parametrize("protocol", NEW_KERNEL_PROTOCOLS)
     def test_sub_duty_cycle_horizon(self, protocol):
         # Shorter than one frame (DMAC, 1 s) / poll interval (SCP-MAC,
         # 300 ms): zero periodic events fit and (with a quiet traffic
         # period) no packet is generated, so every node idles at exactly
-        # the sleep power — on both engines.
+        # the sleep power — in production and in the oracle.
         model = _model(protocol, period=1.0e7)
         params = PROTOCOL_PARAMS[protocol]
         sleep = model.scenario.radio.power_sleep
         results = []
-        for engine, strict in (("scalar", False), ("batched", True)):
-            result = simulate_protocol(
-                model,
-                params,
-                SimulationConfig(
-                    horizon=0.05, seed=3, engine=engine, strict=strict
-                ),
-            )
+        for simulate in (simulate_oracle, simulate_protocol):
+            result = simulate(model, params, SimulationConfig(horizon=0.05, seed=3))
             assert result.generated_packets == 0
             assert set(result.node_power.values()) == {sleep}
             results.append(result)

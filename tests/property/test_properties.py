@@ -16,7 +16,8 @@ from repro.network.topology import RingTopology
 from repro.network.traffic import TrafficModel
 from repro.protocols import XMACModel
 from repro.scenario import Scenario
-from repro.simulation.mac.base import next_occurrence
+
+from oracle.mac.base import next_occurrence
 
 COMMON_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow]

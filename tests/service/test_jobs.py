@@ -194,3 +194,36 @@ class TestReplay:
         reopened = JobQueue(tmp_path)
         assert reopened.requeued == 1
         assert reopened.get(job.job_id).state == "queued"
+
+
+class TestRetiredSimEngineReplay:
+    """Journals written while specs could name a simulator engine replay."""
+
+    @staticmethod
+    def _rewrite_runtime(journal, engine):
+        lines = []
+        for line in journal.read_text().splitlines():
+            event = json.loads(line)
+            if event["event"] == "submit":
+                event["spec"]["runtime"]["sim_engine"] = engine
+            lines.append(json.dumps(event))
+        journal.write_text("\n".join(lines) + "\n")
+
+    def test_old_journal_line_replays(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        queue.close()
+        self._rewrite_runtime(tmp_path / "jobs.jsonl", "scalar")
+
+        reopened = JobQueue(tmp_path)
+        replayed = reopened.get(job.job_id)
+        assert replayed.state == "queued"
+        assert replayed.spec == spec_of()
+
+    def test_unknown_engine_in_journal_is_unreplayable(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        queue.submit(spec_of())
+        queue.close()
+        self._rewrite_runtime(tmp_path / "jobs.jsonl", "vectorized")
+        with pytest.raises(JobError, match="unreplayable submit on journal line 1"):
+            JobQueue(tmp_path)

@@ -181,6 +181,20 @@ class TestErrorStatuses:
         assert excinfo.value.status == 400
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
 
+    def test_submit_infinite_campaign_horizon_is_400(self, client):
+        # The client serializes float("inf") as JSON ``Infinity``.
+        spec = {
+            "kind": "campaign",
+            "scenarios": ["paper-default"],
+            "protocols": ["xmac"],
+            "campaign": {"horizon": float("inf")},
+        }
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit(spec)
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert "campaign.horizon must be finite" in excinfo.value.payload["error"]
+
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):
             with pytest.raises(ServiceError) as excinfo:

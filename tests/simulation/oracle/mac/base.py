@@ -39,8 +39,8 @@ from repro.exceptions import SimulationError
 from repro.network.packets import PacketModel
 from repro.network.radio import RadioMode, RadioModel
 from repro.protocols.base import DutyCycledMACModel
-from repro.simulation.channel import Channel
-from repro.simulation.node import SensorNode
+from ..channel import Channel
+from ..node import SensorNode
 
 
 def next_occurrence(now: float, period: float, offset: float) -> float:
@@ -207,12 +207,6 @@ class MACSimBehaviour(abc.ABC):
     """
 
     name: str = "abstract"
-
-    #: Whether the array-batched engine has a kernel replicating this
-    #: behaviour bit-for-bit (see :mod:`repro.simulation.batched`).  The
-    #: batched engine falls back to the scalar driver for behaviours that
-    #: leave this False, so every protocol keeps working either way.
-    supports_batch: bool = False
 
     def __init__(
         self,

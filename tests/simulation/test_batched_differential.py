@@ -1,22 +1,21 @@
-"""Differential harness: the batched engine is bit-identical to the scalar one.
+"""Differential harness: production is bit-identical to the frozen oracle.
 
-The batched engine (:mod:`repro.simulation.batched`) is only allowed to
-exist because it changes *nothing*: every metric of every replication —
-per-node power, per-ring delay lists, packet and channel counters — must
-match the scalar driver bit for bit at the same seed.  This module enforces
-that three ways:
+Production :func:`~repro.simulation.simulate_protocol` runs the flat-array
+engine (:mod:`repro.simulation.batched`).  It is only allowed to exist
+because it changes *nothing* relative to the per-event oracle under
+``tests/simulation/oracle/``: every metric of every replication — per-node
+power, per-ring delay lists, packet and channel counters — must match bit
+for bit at the same seed.  This module enforces that three ways:
 
 * a seeded fuzzer sweeps the **full matrix** — every preset × every
   protocol (xmac, lmac, dmac, scpmac) × fuzzed (seed, horizon, sampling
   period) — as ~200 cases; the first :data:`FAST_CASES` run in tier-1
   (covering all four protocols), the full sweep is marked ``slow``;
 * a campaign identity test proves whole campaign artifacts (JSON bytes
-  included) are independent of ``sim_engine``;
-* edge cases both engines must agree on: horizons shorter than one duty
-  cycle, single replications, R=0, kernel-less fallback, invalid engines.
+  included) are the same whether the oracle or production simulated them;
+* edge cases both simulators must agree on: horizons shorter than one duty
+  cycle and independently seeded replications.
 
-Every batched run uses ``strict=True`` and asserts engine provenance, so a
-silent scalar fallback cannot masquerade as a passing differential case.
 Floats are compared with ``==`` (bit-equality for the NaN-free quantities
 the simulator produces); mismatches are reported in ``float.hex`` so a
 one-ulp drift is visible in the failure message, together with the exact
@@ -35,19 +34,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.exceptions import SimulationError
 from repro.network.topology import RingTopology
 from repro.protocols.registry import create_protocol
 from repro.scenario import Scenario
 from repro.scenarios.presets import scenario_preset, scenario_presets
-from repro.simulation import (
-    SimulationConfig,
-    simulate_protocol,
-    simulate_protocol_batched,
-)
-from repro.simulation.batched import kernels
-from repro.simulation.mac.xmac import XMACSimBehaviour
+from repro.simulation import SimulationConfig, simulate_protocol
+from repro.validation import campaign
 from repro.validation.campaign import CampaignSpec, run_campaign
+
+from oracle import simulate_oracle
 
 #: Mid-box parameter vectors, one per protocol (the bench's choices).
 PROTOCOL_PARAMS = {
@@ -57,7 +52,7 @@ PROTOCOL_PARAMS = {
     "scpmac": {"poll_interval": 0.3},
 }
 PROTOCOLS = tuple(sorted(PROTOCOL_PARAMS))
-ENGINES = ("scalar", "batched")
+SIMULATORS = {"production": simulate_protocol, "oracle": simulate_oracle}
 
 #: Fields of SimulationResult compared bit-for-bit.
 _COMPARED_FIELDS = (
@@ -87,15 +82,15 @@ def _hex(value):
     return repr(value)
 
 
-def assert_bit_identical(scalar, batched, context=""):
+def assert_bit_identical(oracle, production, context=""):
     """Assert two SimulationResults match field by field, bit for bit."""
     for field in _COMPARED_FIELDS:
-        left = getattr(scalar, field)
-        right = getattr(batched, field)
+        left = getattr(oracle, field)
+        right = getattr(production, field)
         assert left == right, (
             f"{context}: {field} diverged\n"
-            f"  scalar:  {_hex(left)}\n"
-            f"  batched: {_hex(right)}"
+            f"  oracle:     {_hex(left)}\n"
+            f"  production: {_hex(right)}"
         )
 
 
@@ -161,15 +156,8 @@ def _run_both(preset, protocol, seed, horizon, period):
     scenario = _traffic_scenario(preset, period)
     model = create_protocol(protocol, scenario)
     params = PROTOCOL_PARAMS[protocol]
-    scalar = simulate_protocol(
-        model, params, SimulationConfig(horizon=horizon, seed=seed)
-    )
-    batched = simulate_protocol(
-        model,
-        params,
-        SimulationConfig(horizon=horizon, seed=seed, engine="batched", strict=True),
-    )
-    return scalar, batched
+    config = SimulationConfig(horizon=horizon, seed=seed)
+    return simulate_oracle(model, params, config), simulate_protocol(model, params, config)
 
 
 def _check_case(preset, protocol, seed, horizon, period):
@@ -188,12 +176,8 @@ def _check_case(preset, protocol, seed, horizon, period):
     )
     context = f"case {case!r}\n  repro: {repro}"
     try:
-        scalar, batched = _run_both(preset, protocol, seed, horizon, period)
-        # Provenance: strict mode already forbids the silent scalar
-        # fallback, the field proves the fast path actually produced this.
-        assert batched.engine == "batched", f"{context}: ran on {batched.engine!r}"
-        assert scalar.engine == "scalar", f"{context}: ran on {scalar.engine!r}"
-        assert_bit_identical(scalar, batched, context=context)
+        oracle, production = _run_both(preset, protocol, seed, horizon, period)
+        assert_bit_identical(oracle, production, context=context)
     except AssertionError:
         with FAILURE_LOG.open("a", encoding="utf-8") as handle:
             handle.write(json.dumps(case, sort_keys=True) + "\n")
@@ -222,141 +206,60 @@ class TestFuzzedIdentityFull:
 
 
 class TestCampaignIdentity:
-    """``sim_engine`` is runtime provenance: campaign results don't move."""
+    """A campaign's artifact does not depend on which simulator ran it."""
 
-    @staticmethod
-    def _spec(engine: str) -> CampaignSpec:
-        return CampaignSpec(
-            scenarios=("high-rate",),
-            protocols=PROTOCOLS,
-            replications=2,
-            horizon=200.0,
-            grid_points_per_dimension=12,
-            sim_engine=engine,
-        )
+    SPEC = CampaignSpec(
+        scenarios=("high-rate",),
+        protocols=PROTOCOLS,
+        replications=2,
+        horizon=200.0,
+        grid_points_per_dimension=12,
+    )
 
-    def test_cells_and_artifact_bytes_identical(self):
-        scalar = run_campaign(self._spec("scalar"))
-        batched = run_campaign(self._spec("batched"))
-        scalar_bytes = json.dumps(scalar.as_dict(), sort_keys=True)
-        batched_bytes = json.dumps(batched.as_dict(), sort_keys=True)
-        assert scalar_bytes == batched_bytes
-
-    def test_spec_dict_excludes_engine(self):
-        # The artifact embeds the campaign spec; an engine field there would
-        # break cross-engine byte-identity (and store replays).
-        assert "sim_engine" not in self._spec("batched").as_dict()
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(Exception, match="engine"):
-            self._spec("vectorized")
+    def test_cells_and_artifact_bytes_identical(self, monkeypatch):
+        production = run_campaign(self.SPEC)
+        monkeypatch.setattr(campaign, "simulate_protocol", simulate_oracle)
+        oracle = run_campaign(self.SPEC)
+        production_bytes = json.dumps(production.as_dict(), sort_keys=True)
+        oracle_bytes = json.dumps(oracle.as_dict(), sort_keys=True)
+        assert production_bytes == oracle_bytes
 
 
 class TestEdgeCases:
-    """Degenerate inputs both engines must handle the same way."""
+    """Degenerate inputs both simulators must handle the same way."""
 
     @staticmethod
     def _model():
         scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
         return create_protocol("xmac", scenario)
 
-    @pytest.mark.parametrize("engine", ENGINES)
-    def test_horizon_shorter_than_one_duty_cycle(self, engine):
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
+    def test_horizon_shorter_than_one_duty_cycle(self, simulator):
         # 50 ms horizon vs a 300 ms wake-up interval: zero periodic polls
         # fit, no packet is generated, every node idles at sleep power.
         model = self._model()
-        config = SimulationConfig(horizon=0.05, seed=3, engine=engine)
-        result = simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
+        config = SimulationConfig(horizon=0.05, seed=3)
+        result = SIMULATORS[simulator](model, PROTOCOL_PARAMS["xmac"], config)
         assert result.generated_packets == 0
         sleep_power = model.scenario.radio.power_sleep
         assert set(result.node_power.values()) == {sleep_power}
 
-    def test_short_horizon_identical_across_engines(self):
+    def test_short_horizon_identical_to_oracle(self):
         model = self._model()
-        scalar = simulate_protocol(
-            model, PROTOCOL_PARAMS["xmac"], SimulationConfig(horizon=0.05, seed=3)
+        config = SimulationConfig(horizon=0.05, seed=3)
+        assert_bit_identical(
+            simulate_oracle(model, PROTOCOL_PARAMS["xmac"], config),
+            simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config),
+            context="short-horizon",
         )
-        batched = simulate_protocol(
-            model,
-            PROTOCOL_PARAMS["xmac"],
-            SimulationConfig(horizon=0.05, seed=3, engine="batched"),
-        )
-        assert_bit_identical(scalar, batched, context="short-horizon")
-
-    def test_single_replication(self):
-        model = self._model()
-        config = SimulationConfig(horizon=300.0, seed=5)
-        (batched,) = simulate_protocol_batched(
-            model, PROTOCOL_PARAMS["xmac"], [config]
-        )
-        scalar = simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
-        assert_bit_identical(scalar, batched, context="single-replication")
-
-    def test_zero_replications_is_a_clean_error(self):
-        with pytest.raises(SimulationError, match="at least one replication"):
-            simulate_protocol_batched(self._model(), PROTOCOL_PARAMS["xmac"], [])
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(SimulationError, match="unknown simulation engine"):
-            SimulationConfig(engine="vectorized")
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_no_protocol_falls_back(self, protocol):
-        # All four built-in protocols have batch kernels: strict mode must
-        # succeed and the result must carry batched provenance.
-        scenario = Scenario(RingTopology(depth=3, density=4), sampling_rate=1.0 / 60.0)
-        model = create_protocol(protocol, scenario)
-        params = PROTOCOL_PARAMS[protocol]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9)
-        )
-        batched = simulate_protocol(
-            model,
-            params,
-            SimulationConfig(horizon=300.0, seed=9, engine="batched", strict=True),
-        )
-        assert batched.engine == "batched"
-        assert_bit_identical(scalar, batched, context=f"strict-{protocol}")
-
-    def test_kernel_less_behaviour_falls_back_transparently(self, monkeypatch):
-        # Unregister X-MAC's kernel to simulate a user-registered behaviour
-        # without one: non-strict configs silently get the scalar result.
-        monkeypatch.delitem(kernels._KERNELS, XMACSimBehaviour)
-        model = self._model()
-        params = PROTOCOL_PARAMS["xmac"]
-        scalar = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9)
-        )
-        batched = simulate_protocol(
-            model, params, SimulationConfig(horizon=300.0, seed=9, engine="batched")
-        )
-        assert batched.engine == "scalar"
-        assert_bit_identical(scalar, batched, context="fallback-xmac")
-
-    def test_strict_refuses_kernel_less_fallback(self, monkeypatch):
-        monkeypatch.delitem(kernels._KERNELS, XMACSimBehaviour)
-        model = self._model()
-        config = SimulationConfig(horizon=300.0, seed=9, engine="batched", strict=True)
-        with pytest.raises(SimulationError, match="no batch kernel"):
-            simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config)
-
-    def test_strict_requires_batched_engine(self):
-        with pytest.raises(SimulationError, match="strict"):
-            SimulationConfig(engine="scalar", strict=True)
 
     def test_replications_vary_only_by_seed(self):
-        # The batched entry point accepts heterogeneous configs; each one is
-        # honoured independently.
+        # Each seed's replication is honoured independently.
         model = self._model()
-        configs = [
-            SimulationConfig(horizon=200.0, seed=seed, engine="batched")
-            for seed in (1, 2, 3)
-        ]
-        results = simulate_protocol_batched(model, PROTOCOL_PARAMS["xmac"], configs)
-        for config, result in zip(configs, results):
-            scalar = simulate_protocol(
-                model,
-                PROTOCOL_PARAMS["xmac"],
-                SimulationConfig(horizon=200.0, seed=config.seed),
+        for seed in (1, 2, 3):
+            config = SimulationConfig(horizon=200.0, seed=seed)
+            assert_bit_identical(
+                simulate_oracle(model, PROTOCOL_PARAMS["xmac"], config),
+                simulate_protocol(model, PROTOCOL_PARAMS["xmac"], config),
+                context=f"seed={seed}",
             )
-            assert_bit_identical(scalar, result, context=f"seed={config.seed}")

@@ -1,4 +1,4 @@
-"""Tests for channel, node and packet bookkeeping."""
+"""Tests for the oracle simulator's channel, node and packet bookkeeping."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ import pytest
 from repro.exceptions import SimulationError
 from repro.network.deployment import chain_deployment
 from repro.network.radio import cc2420
-from repro.simulation.channel import Channel
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.node import SensorNode
-from repro.simulation.packets import DataPacket, DeliveryRecord, PacketLog
+
+from oracle.channel import Channel
+from oracle.energy import EnergyAccount
+from oracle.node import SensorNode
+from oracle.packets import DataPacket, DeliveryRecord, PacketLog
 
 
 def make_node(node_id=2, ring=2, parent=1, capacity=4) -> SensorNode:

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine and energy accounting."""
+"""Tests for the oracle simulator's event engine and energy accounting."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.network.radio import RadioMode, cc2420
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.engine import EventQueue, Simulator
+
+from oracle.energy import EnergyAccount
+from oracle.engine import EventQueue, Simulator
 
 
 class TestEventQueue:

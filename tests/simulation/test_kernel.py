@@ -1,10 +1,11 @@
 """Duty-cycle kernel: state-machine edge cases and trace guarantees.
 
-The kernel refactor promises two things beyond unit behaviour: (1) the
-three pre-kernel simulators produce *bit-identical* traces at the same seed
-(pinned against golden values captured before the refactor), and (2) every
-kernel transition — empty wakeup, contention collision, slot-overflow
-retry — is exercised somewhere deterministic.
+Two promises beyond unit behaviour: (1) production
+:func:`~repro.simulation.simulate_protocol` and the frozen per-event oracle
+(``tests/simulation/oracle/``) both reproduce *bit-identical* golden traces
+at the same seed (values captured before the oracle's kernel refactor), and
+(2) every oracle kernel transition — empty wakeup, contention collision,
+slot-overflow retry — is exercised somewhere deterministic.
 """
 
 from __future__ import annotations
@@ -18,14 +19,21 @@ from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel
 from repro.scenario import Scenario
-from repro.simulation import EnergyAccount, SimulationConfig, simulate_protocol
-from repro.simulation.mac import (
+from repro.simulation import SimulationConfig, simulate_protocol
+
+from oracle import EnergyAccount, simulate_oracle
+from oracle.channel import Channel
+from oracle.mac import (
     DMACSimBehaviour,
     KernelState,
     MediumGrant,
     PeriodicCharge,
+    SCPMACSimBehaviour,
+    XMACSimBehaviour,
+    behaviour_for_model,
+    next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from oracle.node import SensorNode
 
 
 @pytest.fixture
@@ -105,12 +113,12 @@ GOLDEN_TRACES = {
     },
 }
 
-#: Both engines must reproduce the goldens: the batched engine dispatches
-#: all four protocols to array kernels — the trace is the same trace.
-ENGINES = ("scalar", "batched")
+#: Both simulators must reproduce the goldens: production and the oracle
+#: produce the same trace.
+SIMULATORS = {"production": simulate_protocol, "oracle": simulate_oracle}
 
 
-# Pinned edge-path traces (captured from the scalar engine at the settings
+# Pinned edge-path traces (captured from the oracle at the settings
 # below): a contended SCP-MAC run whose lost epochs retry at the next poll
 # (193 deferrals), a contended X-MAC run whose collisions resolve by
 # backoff-deferral (108 deferrals), and a contended DMAC run whose
@@ -191,22 +199,22 @@ def _check_golden(result, golden):
 
 
 class TestTraceCompatibility:
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_TRACES))
     def test_kernel_reproduces_pre_refactor_traces_bit_identically(
-        self, scenario, name, engine
+        self, scenario, name, simulator
     ):
         model, params = {
             case[0]: (case[1], case[2]) for case in protocol_cases(scenario)
         }[name]
-        result = simulate_protocol(
-            model, params, SimulationConfig(horizon=600.0, seed=11, engine=engine)
+        result = SIMULATORS[simulator](
+            model, params, SimulationConfig(horizon=600.0, seed=11)
         )
         _check_golden(result, GOLDEN_TRACES[name])
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_EDGE_TRACES))
-    def test_edge_path_traces_are_pinned(self, name, engine):
+    def test_edge_path_traces_are_pinned(self, name, simulator):
         golden = GOLDEN_EDGE_TRACES[name]
         contended = Scenario(
             topology=RingTopology(depth=3, density=4), sampling_rate=1.0 / 20.0
@@ -214,26 +222,24 @@ class TestTraceCompatibility:
         model = {
             case[0]: case[1] for case in protocol_cases(contended)
         }[golden["protocol"]]
-        result = simulate_protocol(
-            model,
-            golden["params"],
-            SimulationConfig(horizon=300.0, seed=7, engine=engine),
+        result = SIMULATORS[simulator](
+            model, golden["params"], SimulationConfig(horizon=300.0, seed=7)
         )
         # The edge path actually fired: deferrals in the pinned counters.
         assert golden["counters"][3] > 0
         _check_golden(result, golden)
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("simulator", sorted(SIMULATORS))
     @pytest.mark.parametrize("name", sorted(GOLDEN_QUIET_POWERS))
-    def test_zero_traffic_periodic_charges_are_pinned(self, name, engine):
+    def test_zero_traffic_periodic_charges_are_pinned(self, name, simulator):
         quiet = Scenario(
             topology=RingTopology(depth=3, density=4), sampling_rate=1.0 / 1.0e7
         )
         model, params = {
             case[0]: (case[1], case[2]) for case in protocol_cases(quiet)
         }[name]
-        result = simulate_protocol(
-            model, params, SimulationConfig(horizon=50.0, seed=3, engine=engine)
+        result = SIMULATORS[simulator](
+            model, params, SimulationConfig(horizon=50.0, seed=3)
         )
         assert result.generated_packets == 0
         expected = float.fromhex(GOLDEN_QUIET_POWERS[name])
@@ -285,10 +291,8 @@ class TestEmptyWakeups:
         assert result.delivery_ratio == 0.0
         with pytest.raises(SimulationError):
             result.max_ring_delay()
-        # Every node's power equals the closed-form periodic cost: the
-        # kernel charged nothing but the PeriodicCharge table.
-        from repro.simulation.mac.factory import behaviour_for_model
-
+        # Every node's power equals the oracle's closed-form periodic cost:
+        # the kernel charged nothing but the PeriodicCharge table.
         behaviour = behaviour_for_model(model, params, np.random.default_rng(0))
         reference = make_node(1, 1, 0)
         behaviour.charge_periodic_energy(reference, horizon)
@@ -304,8 +308,6 @@ class TestContentionCollision:
         model = DMACModel(scenario)
         behaviour = DMACSimBehaviour(model, {"frame_length": 1.0}, np.random.default_rng(2))
         deployment = ring_deployment(depth=2, density=6, seed=3)
-        from repro.simulation.channel import Channel
-
         channel = Channel(deployment)
         # Find two same-ring neighbours: they share the transmit slot and
         # sense each other's carrier.
@@ -345,8 +347,6 @@ class TestSlotOverflowRetry:
         model = DMACModel(scenario)
         behaviour = DMACSimBehaviour(model, {"frame_length": 1.0}, np.random.default_rng(2))
         deployment = chain_deployment(depth=3)
-        from repro.simulation.channel import Channel
-
         channel = Channel(deployment)
         sender = make_node(3, 3, 2)
         sender.phase = behaviour.assign_phase(sender)  # ring 3 transmits at offset 0
@@ -360,15 +360,10 @@ class TestSlotOverflowRetry:
 
     def test_scpmac_lost_epoch_retries_at_next_poll(self, scenario):
         model = SCPMACModel(scenario)
-        from repro.simulation.mac import SCPMACSimBehaviour
-        from repro.simulation.channel import Channel
-
         behaviour = SCPMACSimBehaviour(model, {"poll_interval": 0.5}, np.random.default_rng(4))
         deployment = chain_deployment(depth=3)
         channel = Channel(deployment)
         phase = behaviour.assign_phase(make_node(2, 2, 1))
-        from repro.simulation.mac import next_occurrence
-
         epoch = next_occurrence(0.0, 0.5, phase)
         channel.reserve(sender=1, start=0.0, duration=epoch + 1e-3)
         sender = make_node(2, 2, 1, phase=phase)
@@ -392,8 +387,6 @@ class TestKernelPrimitives:
 
     def test_charge_maps_states_onto_radio_modes(self, scenario):
         model = XMACModel(scenario)
-        from repro.simulation.mac import XMACSimBehaviour
-
         behaviour = XMACSimBehaviour(model, {"wakeup_interval": 0.5}, np.random.default_rng(0))
         node = make_node(1, 1, 0)
         behaviour.charge(node, KernelState.TX_DATA, 0.0, 0.25)

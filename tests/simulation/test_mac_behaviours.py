@@ -1,4 +1,4 @@
-"""Tests for the simulated MAC behaviours."""
+"""Tests for the oracle simulator's MAC behaviours."""
 
 from __future__ import annotations
 
@@ -11,18 +11,19 @@ from repro.network.radio import cc2420
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, LMACModel, SCPMACModel, XMACModel
 from repro.scenario import Scenario
-from repro.simulation.channel import Channel
-from repro.simulation.energy import EnergyAccount
-from repro.simulation.mac import (
+from repro.simulation.mac import available_mac_protocols
+
+from oracle.channel import Channel
+from oracle.energy import EnergyAccount
+from oracle.mac import (
     DMACSimBehaviour,
     LMACSimBehaviour,
     SCPMACSimBehaviour,
     XMACSimBehaviour,
-    available_mac_protocols,
     behaviour_for_model,
     next_occurrence,
 )
-from repro.simulation.node import SensorNode
+from oracle.node import SensorNode
 
 
 @pytest.fixture

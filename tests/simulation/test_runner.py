@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import SimulationError
+from repro.exceptions import ConfigurationError, SimulationError
 from repro.network.deployment import chain_deployment
 from repro.network.topology import RingTopology
 from repro.protocols import DMACModel, XMACModel
 from repro.scenario import Scenario
 from repro.simulation import SimulationConfig, simulate_protocol
+from repro.validation.campaign import CampaignSpec
 
 
 @pytest.fixture
@@ -91,6 +92,26 @@ class TestSimulationRunner:
         with pytest.raises(SimulationError):
             SimulationConfig(queue_capacity=0)
 
+    @pytest.mark.parametrize("horizon", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_horizon_rejected(self, horizon):
+        # An infinite horizon would never end the traffic-scheduling loop.
+        with pytest.raises(SimulationError, match="finite"):
+            SimulationConfig(horizon=horizon)
+
+    @pytest.mark.parametrize("budget", [0, -5])
+    def test_non_positive_event_budget_rejected(self, budget):
+        with pytest.raises(SimulationError, match="max_events"):
+            SimulationConfig(max_events=budget)
+
+    def test_event_budget_exhaustion_raises(self, scenario):
+        model = XMACModel(scenario)
+        with pytest.raises(SimulationError, match="event budget exceeded"):
+            simulate_protocol(
+                model,
+                {"wakeup_interval": 0.3},
+                SimulationConfig(horizon=600.0, seed=2, max_events=10),
+            )
+
     def test_empty_result_guards(self, scenario):
         from repro.simulation.runner import SimulationResult
 
@@ -99,3 +120,18 @@ class TestSimulationRunner:
             _ = empty.system_energy
         with pytest.raises(SimulationError):
             empty.max_ring_delay()
+
+
+class TestAnalyticalOnlyProtocol:
+    """A protocol with no simulator fails with the canonical message."""
+
+    def test_simulate_protocol_raises_no_simulated_behaviour(
+        self, scenario, analytical_only_model_class
+    ):
+        model = analytical_only_model_class(scenario)
+        with pytest.raises(SimulationError, match="no simulated behaviour.*scpmac"):
+            simulate_protocol(model, {"interval": 0.5}, SimulationConfig(horizon=10.0))
+
+    def test_campaign_spec_rejects_it_up_front(self, analytical_only_protocol):
+        with pytest.raises(ConfigurationError, match="no simulated behaviour"):
+            CampaignSpec(scenarios=("paper-default",), protocols=(analytical_only_protocol,))

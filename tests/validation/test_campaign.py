@@ -78,6 +78,8 @@ class TestCampaignSpec:
         [
             {"replications": 0},
             {"horizon": 0.0},
+            {"horizon": float("inf")},
+            {"horizon": float("nan")},
             {"confidence": 1.0},
             {"energy_tolerance": 0.0},
             {"min_delivery_ratio": 1.5},

@@ -20,14 +20,15 @@ Protocols present in the baseline but missing from the fresh artifact are
 failures (the bench silently losing coverage is itself a regression); new
 protocols not yet in the baseline are reported but don't gate.
 
-The artifact's ``batched`` section (the array-batched replication engine)
-is gated the same way, plus an absolute floor: every batched protocol's
-``speedup_vs_scalar`` must reach ``--min-batched-speedup`` (default 5×,
-``0`` disables).  Repeatable ``--batched-speedup-floor NAME=RATIO`` flags
-override the global floor per protocol (CI starts the freshly batched
-dmac/scpmac kernels at 3×).  The speedup is a within-process ratio of the
-two engines over the same seeds, so unlike raw throughput it is stable
-across runner machines.
+The artifact's ``batched`` section (the simulator timed against the
+frozen per-event oracle under ``tests/simulation/oracle/``, which the
+section calls "scalar") is gated the same way, plus an absolute floor:
+every protocol's ``speedup_vs_scalar`` must reach
+``--min-batched-speedup`` (default 5×, ``0`` disables).  Repeatable
+``--batched-speedup-floor NAME=RATIO`` flags override the global floor per
+protocol (CI holds the dmac/scpmac kernels at 3×).  The speedup is a
+within-process ratio of the two simulators over the same seeds, so unlike
+raw throughput it is stable across runner machines.
 
 ``--service BENCH_service.json`` additionally gates the experiment
 service's warm-hit throughput against the absolute
@@ -382,7 +383,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--min-batched-speedup",
         type=float,
         default=5.0,
-        help="required batched-engine speedup_vs_scalar (0 disables)",
+        help="required simulator speedup_vs_scalar over the per-event "
+        "oracle (0 disables)",
     )
     parser.add_argument(
         "--batched-speedup-floor",
