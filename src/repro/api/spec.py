@@ -36,7 +36,6 @@ from pathlib import Path
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
-from repro.optimization.hybrid import SOLVER_METHODS
 
 #: Every workload kind a spec may declare, in documentation order.
 WORKLOAD_KINDS = (
@@ -85,11 +84,51 @@ def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str])
         )
 
 
-#: The retired runtime key that once chose between two bit-identical
-#: simulator engines, and the values it could take.  Specs and service
-#: journals written back then still carry it; it is read and dropped.
-_RETIRED_ENGINE_KEY = "sim_engine"
-_RETIRED_ENGINE_VALUES = ("scalar", "batched")
+#: Retired spec keys as ``(section, key, accepted old values)``.  Specs,
+#: service journals and result artifacts written while these knobs existed
+#: still carry them, so they are read and dropped before the section is
+#: parsed; any value outside the accepted ones is an error naming the key.
+#: ``None`` in place of the tuple accepts every value: the adaptive grid
+#: knobs never changed an answer.
+_RETIRED_KEYS: Tuple[Tuple[str, str, Optional[Tuple[object, ...]]], ...] = (
+    # One simulator replaced the scalar/batched engine choice.
+    ("runtime", "sim_engine", ("scalar", "batched")),
+    # One grid stage replaced the exhaustive/adaptive choice; the old
+    # ``RuntimePolicy.as_dict`` wrote ``null`` when nothing was overridden.
+    ("runtime", "solver_method", (None, "exhaustive", "adaptive")),
+    ("solver", "method", ("exhaustive", "adaptive")),
+    ("solver", "coarse_points", None),
+    ("solver", "refine_rounds", None),
+    ("solver", "top_k", None),
+)
+
+
+def _drop_retired(section: str, payload: Mapping[str, object]) -> Dict[str, object]:
+    """``payload`` without the section's retired keys (checking their values)."""
+    if not isinstance(payload, Mapping):
+        raise ConfigurationError(
+            f"{section} must be a mapping, got {type(payload).__name__}"
+        )
+    payload = dict(payload)
+    for owner, key, accepted in _RETIRED_KEYS:
+        if owner != section or key not in payload:
+            continue
+        value = payload.pop(key)
+        if accepted is not None and value not in accepted:
+            raise ConfigurationError(
+                f"{section}.{key} is retired and only accepts the old values "
+                f"{', '.join(json.dumps(old) for old in accepted)}; got {value!r}"
+            )
+    return payload
+
+
+def _require_int(owner: str, name: str, value: object, minimum: int) -> None:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(
+            f"{owner}.{name} must be an integer >= {minimum}, got {value!r}"
+        )
+    if value < minimum:
+        raise ConfigurationError(f"{owner}.{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,53 +141,31 @@ class RuntimePolicy:
         mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
             ``"process"``).
         chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
-        solver_method: Grid-stage solver override (``"exhaustive"`` or
-            ``"adaptive"``); ``None`` defers to the spec's
-            ``solver.method``.  The methods return identical solutions, so
-            the override is runtime provenance.
     """
 
     workers: int = 1
     cache: bool = True
     mode: str = "auto"
     chunk_size: Optional[int] = None
-    solver_method: Optional[str] = None
 
     def __post_init__(self) -> None:
-        if self.solver_method is not None and self.solver_method not in SOLVER_METHODS:
+        _require_int("runtime", "workers", self.workers, 0)
+        if not isinstance(self.cache, bool):
             raise ConfigurationError(
-                f"runtime.solver_method must be one of {', '.join(SOLVER_METHODS)}; "
-                f"got {self.solver_method!r}"
+                f"runtime.cache must be true or false, got {self.cache!r}"
             )
+        if self.chunk_size is not None:
+            _require_int("runtime", "chunk_size", self.chunk_size, 1)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RuntimePolicy":
-        payload = dict(payload)
-        if _RETIRED_ENGINE_KEY in payload:
-            engine = payload.pop(_RETIRED_ENGINE_KEY)
-            if engine not in _RETIRED_ENGINE_VALUES:
-                raise ConfigurationError(
-                    f"runtime.{_RETIRED_ENGINE_KEY} is retired (there is one "
-                    f"simulator) and only accepts the old values "
-                    f"{', '.join(_RETIRED_ENGINE_VALUES)}; got {engine!r}"
-                )
-        _check_keys(
-            "runtime", payload, ("workers", "cache", "mode", "chunk_size", "solver_method")
-        )
+        payload = _drop_retired("runtime", payload)
+        _check_keys("runtime", payload, ("workers", "cache", "mode", "chunk_size"))
         return cls(
-            workers=int(payload.get("workers", 1)),
-            cache=bool(payload.get("cache", True)),
+            workers=payload.get("workers", 1),  # type: ignore[arg-type]
+            cache=payload.get("cache", True),  # type: ignore[arg-type]
             mode=str(payload.get("mode", "auto")),
-            chunk_size=(
-                None
-                if payload.get("chunk_size") is None
-                else int(payload["chunk_size"])  # type: ignore[arg-type]
-            ),
-            solver_method=(
-                None
-                if payload.get("solver_method") is None
-                else str(payload["solver_method"])
-            ),
+            chunk_size=payload.get("chunk_size"),  # type: ignore[arg-type]
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -157,16 +174,7 @@ class RuntimePolicy:
             "cache": self.cache,
             "mode": self.mode,
             "chunk_size": self.chunk_size,
-            "solver_method": self.solver_method,
         }
-
-
-#: Solver keys that choose *how* the grid stage runs, never *what* it
-#: returns (the methods are differentially proven identical).  Stripped
-#: from ``spec_hash`` and from the solve cache/store keys, exactly like
-#: the runtime policy, so provenance and stored results are
-#: method-independent.
-SOLVER_METHOD_KEYS = ("method", "coarse_points", "refine_rounds", "top_k")
 
 
 @dataclass(frozen=True)
@@ -175,77 +183,30 @@ class SolverSettings:
 
     Attributes:
         grid_points: Grid resolution per parameter dimension.
-        method: Grid-stage strategy: ``"exhaustive"`` scans the full grid,
-            ``"adaptive"`` refines coarse-to-fine to the identical answer
-            (see :mod:`repro.optimization.adaptive`).  Excluded from
-            ``spec_hash`` along with the three adaptive knobs below.
-        coarse_points: Adaptive method: points per axis of the coarse scan.
-        refine_rounds: Adaptive method: maximum bisection rounds before a
-            kept cell is evaluated at full resolution.
-        top_k: Adaptive method: incumbent points kept per ranking round.
         options: Extra keyword options forwarded verbatim to
             :class:`~repro.core.tradeoff.EnergyDelayGame` (e.g.
             ``random_starts``).
     """
 
     grid_points: int = 60
-    method: str = "exhaustive"
-    coarse_points: int = 11
-    refine_rounds: int = 3
-    top_k: int = 3
     options: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.grid_points, int) or self.grid_points < 2:
-            raise ConfigurationError(
-                f"solver.grid_points must be an integer >= 2, got {self.grid_points!r}"
-            )
-        if self.method not in SOLVER_METHODS:
-            raise ConfigurationError(
-                f"unknown solver.method {self.method!r}; "
-                f"choose from {', '.join(SOLVER_METHODS)}"
-            )
-        for name, minimum in (("coarse_points", 2), ("refine_rounds", 1), ("top_k", 1)):
-            value = getattr(self, name)
-            if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
-                raise ConfigurationError(
-                    f"solver.{name} must be an integer >= {minimum}, got {value!r}"
-                )
+        _require_int("solver", "grid_points", self.grid_points, 2)
         object.__setattr__(self, "options", dict(self.options))
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "SolverSettings":
-        first_class = ("grid_points",) + SOLVER_METHOD_KEYS
-        extra = {key: value for key, value in payload.items() if key not in first_class}
-        defaults = cls()
+        extra = _drop_retired("solver", payload)
         return cls(
-            grid_points=int(payload.get("grid_points", defaults.grid_points)),
-            method=str(payload.get("method", defaults.method)),
-            coarse_points=payload.get("coarse_points", defaults.coarse_points),  # type: ignore[arg-type]
-            refine_rounds=payload.get("refine_rounds", defaults.refine_rounds),  # type: ignore[arg-type]
-            top_k=payload.get("top_k", defaults.top_k),  # type: ignore[arg-type]
+            grid_points=extra.pop("grid_points", cls.grid_points),  # type: ignore[arg-type]
             options=extra,
         )
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "grid_points": self.grid_points,
-            "method": self.method,
-            "coarse_points": self.coarse_points,
-            "refine_rounds": self.refine_rounds,
-            "top_k": self.top_k,
             **dict(sorted(self.options.items())),
-        }
-
-    def game_options(self) -> Dict[str, object]:
-        """The solver options in the shape ``EnergyDelayGame`` accepts."""
-        return {
-            "grid_points_per_dimension": self.grid_points,
-            "method": self.method,
-            "coarse_points": self.coarse_points,
-            "refine_rounds": self.refine_rounds,
-            "top_k": self.top_k,
-            **self.options,
         }
 
 
@@ -568,13 +529,7 @@ class ExperimentSpec:
         return replace(self, campaign=replace(self.campaign, **settings))
 
     def with_solver(
-        self,
-        grid_points: Optional[int] = None,
-        method: Optional[str] = None,
-        coarse_points: Optional[int] = None,
-        refine_rounds: Optional[int] = None,
-        top_k: Optional[int] = None,
-        **options: object,
+        self, grid_points: Optional[int] = None, **options: object
     ) -> "ExperimentSpec":
         """Update the game solver settings."""
         merged = dict(self.solver.options)
@@ -584,14 +539,6 @@ class ExperimentSpec:
             self,
             solver=SolverSettings(
                 grid_points=current.grid_points if grid_points is None else grid_points,
-                method=current.method if method is None else method,
-                coarse_points=(
-                    current.coarse_points if coarse_points is None else coarse_points
-                ),
-                refine_rounds=(
-                    current.refine_rounds if refine_rounds is None else refine_rounds
-                ),
-                top_k=current.top_k if top_k is None else top_k,
                 options=merged,
             ),
         )
@@ -731,16 +678,9 @@ class ExperimentSpec:
 
         The runtime policy is *excluded*: a spec run with ``--workers 4``
         carries the same provenance as the serial run it is bit-identical
-        to.  The solver method knobs (:data:`SOLVER_METHOD_KEYS`) are
-        excluded the same way: the exhaustive and adaptive grid stages
-        return identical solutions, so a spec solved adaptively shares
-        provenance with its exhaustive twin.
+        to.
         """
         payload = self.to_dict()
         payload.pop("runtime")
-        solver = dict(payload["solver"])  # type: ignore[arg-type]
-        for key in SOLVER_METHOD_KEYS:
-            solver.pop(key, None)
-        payload["solver"] = solver
         canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()

@@ -114,10 +114,7 @@ def _scenario_ref(args: argparse.Namespace) -> dict:
 
 
 def _runtime_kwargs(args: argparse.Namespace) -> dict:
-    kwargs = {"workers": args.workers, "cache": not args.no_cache}
-    if getattr(args, "solver_method", None):
-        kwargs["solver_method"] = args.solver_method
-    return kwargs
+    return {"workers": args.workers, "cache": not args.no_cache}
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
@@ -160,13 +157,6 @@ def _add_runtime_arguments(parser: argparse.ArgumentParser) -> None:
         help="persistent content-addressed result store directory "
         "(read-through/write-behind; created if missing)",
     )
-    parser.add_argument(
-        "--solver-method",
-        choices=("exhaustive", "adaptive"),
-        default=None,
-        help="grid stage of the game solver (identical solutions; "
-        "adaptive evaluates a fraction of the grid)",
-    )
 
 
 def _write_optional_csv(result: ResultSet, path: Optional[str]) -> None:
@@ -193,8 +183,6 @@ def _cmd_run(args: argparse.Namespace) -> int:
         spec = spec.with_runtime(workers=args.workers)
     if args.no_cache:
         spec = spec.with_runtime(cache=False)
-    if args.solver_method is not None:
-        spec = spec.with_runtime(solver_method=args.solver_method)
     plan = plan_experiment(spec)
     if args.shard:
         try:
@@ -495,13 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument("--csv", default=None, help="optional CSV output path")
     run_parser.add_argument(
         "--out", default=None, help="write the versioned result JSON to this path"
-    )
-    run_parser.add_argument(
-        "--solver-method",
-        choices=("exhaustive", "adaptive"),
-        default=None,
-        help="override the spec's grid-stage solver method "
-        "(identical solutions; adaptive evaluates a fraction of the grid)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 

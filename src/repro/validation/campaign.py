@@ -32,7 +32,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, StoreError, ValidationError
-from repro.optimization.hybrid import SOLVER_METHODS
 from repro.protocols.registry import canonical_name, protocol_class
 from repro.runtime import BatchRunner, default_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
@@ -86,10 +85,6 @@ class CampaignSpec:
             prediction against the simulated mean.
         delay_tolerance: Allowed relative error of the delay prediction.
         min_delivery_ratio: Floor on the mean delivery ratio.
-        solver_method: Grid stage of the game solver (``"exhaustive"`` or
-            ``"adaptive"``).  The methods return identical solutions, so
-            the knob is excluded from :meth:`as_dict` and from the solve
-            cache/store keys.
     """
 
     scenarios: Tuple[str, ...] = ()
@@ -102,7 +97,6 @@ class CampaignSpec:
     energy_tolerance: float = 0.35
     delay_tolerance: float = 0.6
     min_delivery_ratio: float = 0.9
-    solver_method: str = "exhaustive"
 
     def __post_init__(self) -> None:
         scenarios = tuple(self.scenarios) or tuple(available_scenarios())
@@ -144,11 +138,6 @@ class CampaignSpec:
         if not (0.0 <= self.min_delivery_ratio <= 1.0):
             raise ConfigurationError(
                 f"min_delivery_ratio must lie in [0, 1], got {self.min_delivery_ratio!r}"
-            )
-        if self.solver_method not in SOLVER_METHODS:
-            raise ConfigurationError(
-                f"unknown solver method {self.solver_method!r}; "
-                f"choose from {', '.join(SOLVER_METHODS)}"
             )
 
     @property
@@ -738,10 +727,7 @@ def run_campaign(
             protocol=protocol,
             scenario=scenario_preset(scenario_name).scenario,
             requirements=scenario_preset(scenario_name).requirements(),
-            solver_options={
-                "grid_points_per_dimension": spec.grid_points_per_dimension,
-                "method": spec.solver_method,
-            },
+            solver_options={"grid_points_per_dimension": spec.grid_points_per_dimension},
         )
         for scenario_name in spec.scenarios
         for protocol in spec.protocols

@@ -143,29 +143,13 @@ class TestRunErrorPaths:
     def test_unknown_solver_method(self, capsys, tmp_path):
         spec = dict(GOOD_SOLVE, solver={"grid_points": 20, "method": "magic"})
         self.assert_clean_error(
-            capsys, ["run", write_spec(tmp_path, spec)], "unknown solver.method 'magic'"
+            capsys, ["run", write_spec(tmp_path, spec)], "solver.method is retired"
         )
 
     def test_unknown_runtime_solver_method(self, capsys, tmp_path):
         spec = dict(GOOD_SOLVE, runtime={"solver_method": "magic"})
         self.assert_clean_error(
             capsys, ["run", write_spec(tmp_path, spec)], "runtime.solver_method"
-        )
-
-    @pytest.mark.parametrize(
-        "knob, bad, floor",
-        [
-            ("coarse_points", 1, 2),
-            ("refine_rounds", 0, 1),
-            ("top_k", "many", 1),
-        ],
-    )
-    def test_invalid_adaptive_option(self, capsys, tmp_path, knob, bad, floor):
-        spec = dict(GOOD_SOLVE, solver={"grid_points": 20, knob: bad})
-        self.assert_clean_error(
-            capsys,
-            ["run", write_spec(tmp_path, spec)],
-            f"solver.{knob} must be an integer >= {floor}, got {bad!r}",
         )
 
 
@@ -195,6 +179,42 @@ class TestRetiredSimEngine:
         spec = dict(GOOD_SOLVE, runtime={"sim_engine": "vectorized"})
         assert cli_main(["run", write_spec(tmp_path, spec)]) == EXIT_ERROR
         assert "sim_engine" in capsys.readouterr().err
+
+
+class TestRetiredSolverMethod:
+    """One grid stage: specs naming the old exhaustive/adaptive choice run."""
+
+    RETIRED_SOLVER = {
+        "grid_points": 20,
+        "method": "adaptive",
+        "coarse_points": 7,
+        "refine_rounds": 2,
+        "top_k": 5,
+    }
+
+    def test_solver_method_flag_is_rejected(self, capsys, tmp_path):
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["run", write_spec(tmp_path, GOOD_SOLVE), "--solver-method", "adaptive"])
+        assert excinfo.value.code == EXIT_ERROR
+        assert "--solver-method" in capsys.readouterr().err
+
+    def test_old_spec_file_runs_to_the_same_artifact(self, capsys, tmp_path):
+        old = dict(
+            GOOD_SOLVE,
+            solver=self.RETIRED_SOLVER,
+            runtime={"workers": 1, "solver_method": "adaptive"},
+        )
+        old_out, new_out = tmp_path / "old.json", tmp_path / "new.json"
+        old_path = write_spec(tmp_path, old, name="old-spec.json")
+        new_path = write_spec(tmp_path, GOOD_SOLVE, name="new-spec.json")
+        assert cli_main(["run", old_path, "--no-cache", "--out", str(old_out)]) == EXIT_OK
+        assert cli_main(["run", new_path, "--no-cache", "--out", str(new_out)]) == EXIT_OK
+        old_payload = json.loads(old_out.read_text())
+        new_payload = json.loads(new_out.read_text())
+        assert old_payload["spec_sha256"] == new_payload["spec_sha256"]
+        assert old_payload["rows"] == new_payload["rows"]
+        assert old_payload["spec"]["solver"] == {"grid_points": 20}
+        assert "solver_method" not in old_payload["spec"]["runtime"]
 
 
 class TestNonFiniteHorizon:
@@ -238,22 +258,40 @@ class TestExitCodeContract:
             pytest.param({"kind": "frobnicate"}, [], EXIT_ERROR, id="unknown-kind"),
             pytest.param(INFEASIBLE, [], EXIT_ERROR, id="infeasible-solve"),
             pytest.param(
-                GOOD_SOLVE,
-                ["--solver-method", "adaptive"],
-                EXIT_OK,
-                id="adaptive-override-ok",
-            ),
-            pytest.param(
                 dict(GOOD_SOLVE, solver={"grid_points": 10, "method": "magic"}),
                 [],
                 EXIT_ERROR,
                 id="unknown-solver-method",
             ),
             pytest.param(
-                dict(GOOD_SOLVE, solver={"grid_points": 10, "top_k": 0}),
+                dict(GOOD_SOLVE, solver={"grid_points": "abc"}),
                 [],
                 EXIT_ERROR,
-                id="bad-adaptive-knob",
+                id="grid-points-not-a-number",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, solver={"grid_points": 20.9}),
+                [],
+                EXIT_ERROR,
+                id="fractional-grid-points",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"workers": "x"}),
+                [],
+                EXIT_ERROR,
+                id="workers-not-a-number",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"chunk_size": -3}),
+                [],
+                EXIT_ERROR,
+                id="negative-chunk-size",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"cache": "false"}),
+                [],
+                EXIT_ERROR,
+                id="cache-as-a-string",
             ),
             pytest.param(
                 GOOD_SOLVE,

@@ -288,6 +288,27 @@ class TestResultSet:
         assert summary["ok"] == 2
         assert summary["spec_sha256"] == result.provenance
 
+    def test_summary_lists_every_volatile_counter(self, tmp_path):
+        from repro.api.results import VOLATILE_METADATA
+        from repro.api.engine import runner_for
+        from repro.store import ResultStore
+
+        spec = (
+            ExperimentSpec.experiment("solve")
+            .with_scenario(SMALL)
+            .with_protocols("xmac")
+            .with_solver(grid_points=12)
+        )
+        result = run(spec, runner=runner_for(spec, store=ResultStore(tmp_path)))
+        volatile = [key for key in VOLATILE_METADATA if key in result.metadata]
+        assert "store_puts" in volatile  # the store-backed counters are there
+        summary = result.summary()
+        payload = result.as_dict()
+        for key in volatile:
+            assert summary[key] == result.metadata[key]
+            assert key not in payload["summary"]
+            assert key not in payload["metadata"]
+
     def test_to_csv(self, result, tmp_path):
         path = result.to_csv(tmp_path / "out.csv")
         lines = path.read_text().strip().splitlines()

@@ -187,6 +187,96 @@ class TestRetiredSimEngine:
             ExperimentSpec.experiment("solve").with_runtime(sim_engine="batched")
 
 
+class TestRetiredSolverMethod:
+    """Specs written while the grid stage had two methods keep loading."""
+
+    OLD_SOLVER = {
+        "grid_points": 20,
+        "method": "adaptive",
+        "coarse_points": 1,  # dropped whatever the value: it never mattered
+        "refine_rounds": "many",
+        "top_k": 3,
+    }
+
+    @pytest.mark.parametrize("method", ["exhaustive", "adaptive"])
+    @pytest.mark.parametrize("override", [None, "exhaustive", "adaptive"])
+    def test_old_keys_are_read_and_dropped(self, method, override):
+        old = ExperimentSpec.from_dict(
+            {
+                "kind": "solve",
+                "solver": dict(self.OLD_SOLVER, method=method),
+                "runtime": {"workers": 2, "solver_method": override},
+            }
+        )
+        new = ExperimentSpec.from_dict(
+            {"kind": "solve", "solver": {"grid_points": 20}, "runtime": {"workers": 2}}
+        )
+        assert old == new
+        assert old.spec_hash() == new.spec_hash()
+        assert old.solver.options == {}  # nothing leaks to the game's kwargs
+        assert old.to_dict()["solver"] == {"grid_points": 20}
+        assert "solver_method" not in old.to_dict()["runtime"]
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"solver": {"method": "magic"}}, "solver.method"),
+            ({"solver": {"method": None}}, "solver.method"),
+            ({"runtime": {"solver_method": "magic"}}, "runtime.solver_method"),
+        ],        ids=["solver-magic", "solver-null", "runtime-magic"],
+    )
+    def test_other_values_are_rejected(self, payload, key):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentSpec.from_dict({"kind": "solve", **payload})
+
+    def test_runtime_policy_has_no_method_field(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec.experiment("solve").with_runtime(solver_method="adaptive")
+
+
+class TestMalformedFields:
+    """Malformed runtime/solver values fail at parse time, on every path."""
+
+    @pytest.mark.parametrize(
+        "section, payload, match",
+        [
+            ("solver", {"grid_points": "abc"}, "solver.grid_points"),
+            ("solver", {"grid_points": 20.9}, "solver.grid_points"),
+            ("solver", {"grid_points": 1}, "solver.grid_points"),
+            ("runtime", {"workers": "x"}, "runtime.workers"),
+            ("runtime", {"workers": -1}, "workers must be >= 0"),
+            ("runtime", {"workers": 1.5}, "runtime.workers"),
+            ("runtime", {"workers": True}, "runtime.workers"),
+            ("runtime", {"chunk_size": -3}, "runtime.chunk_size"),
+            ("runtime", {"chunk_size": 0}, "runtime.chunk_size"),
+            ("runtime", {"chunk_size": "4"}, "runtime.chunk_size"),
+            ("runtime", {"cache": "false"}, "runtime.cache"),
+            ("runtime", {"cache": 0}, "runtime.cache"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_from_dict_and_builders_reject(self, section, payload, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentSpec.from_dict({"kind": "solve", section: payload})
+        builder = "with_solver" if section == "solver" else "with_runtime"
+        with pytest.raises(ConfigurationError, match=match):
+            getattr(ExperimentSpec.experiment("solve"), builder)(**payload)
+
+    def test_well_formed_values_pass(self):
+        spec = ExperimentSpec.from_dict(
+            {
+                "kind": "solve",
+                "solver": {"grid_points": 2},
+                "runtime": {"workers": 0, "cache": False, "chunk_size": 1},
+            }
+        )
+        assert spec.runtime.chunk_size == 1 and spec.runtime.cache is False
+
+    def test_non_mapping_section_is_rejected(self):
+        with pytest.raises(ConfigurationError, match="solver must be a mapping"):
+            ExperimentSpec.from_dict({"kind": "solve", "solver": [20]})
+
+
 class TestNonFiniteHorizons:
     """JSON parses ``Infinity``/``NaN``; an infinite horizon never ends."""
 

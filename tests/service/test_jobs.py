@@ -227,3 +227,52 @@ class TestRetiredSimEngineReplay:
         self._rewrite_runtime(tmp_path / "jobs.jsonl", "vectorized")
         with pytest.raises(JobError, match="unreplayable submit on journal line 1"):
             JobQueue(tmp_path)
+
+
+class TestRetiredSolverMethodReplay:
+    """Journals written while the grid stage had two methods replay."""
+
+    @staticmethod
+    def _rewrite_submit(journal, solver_extra, runtime_extra):
+        lines = []
+        for line in journal.read_text().splitlines():
+            event = json.loads(line)
+            if event["event"] == "submit":
+                event["spec"]["solver"].update(solver_extra)
+                event["spec"]["runtime"].update(runtime_extra)
+            lines.append(json.dumps(event))
+        journal.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "solver_extra, runtime_extra",
+        [
+            # What the submit line looked like by default back then.
+            (
+                {"method": "exhaustive", "coarse_points": 11, "refine_rounds": 3, "top_k": 3},
+                {"solver_method": None},
+            ),
+            (
+                {"method": "adaptive", "coarse_points": 7, "refine_rounds": 2, "top_k": 5},
+                {"solver_method": "adaptive"},
+            ),
+        ],
+        ids=["exhaustive-default", "adaptive"],
+    )
+    def test_old_journal_line_replays(self, tmp_path, solver_extra, runtime_extra):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        queue.close()
+        self._rewrite_submit(tmp_path / "jobs.jsonl", solver_extra, runtime_extra)
+
+        reopened = JobQueue(tmp_path)
+        replayed = reopened.get(job.job_id)
+        assert replayed.state == "queued"
+        assert replayed.spec == spec_of()
+
+    def test_unknown_method_in_journal_is_unreplayable(self, tmp_path):
+        queue = JobQueue(tmp_path)
+        queue.submit(spec_of())
+        queue.close()
+        self._rewrite_submit(tmp_path / "jobs.jsonl", {"method": "magic"}, {})
+        with pytest.raises(JobError, match="unreplayable submit on journal line 1"):
+            JobQueue(tmp_path)

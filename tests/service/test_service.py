@@ -195,6 +195,27 @@ class TestErrorStatuses:
         assert excinfo.value.payload["error_kind"] == "ConfigurationError"
         assert "campaign.horizon must be finite" in excinfo.value.payload["error"]
 
+    @pytest.mark.parametrize(
+        "section, payload, match",
+        [
+            ("solver", {"grid_points": "abc"}, "solver.grid_points"),
+            ("solver", {"grid_points": 20.9}, "solver.grid_points"),
+            ("solver", {"method": "magic"}, "solver.method"),
+            ("runtime", {"workers": "x"}, "runtime.workers"),
+            ("runtime", {"chunk_size": -3}, "runtime.chunk_size"),
+            ("runtime", {"cache": "false"}, "runtime.cache"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_submit_malformed_field_is_400_naming_the_key(
+        self, client, section, payload, match
+    ):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({**SOLVE, section: payload})
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["error_kind"] == "ConfigurationError"
+        assert match in excinfo.value.payload["error"]
+
     def test_unknown_job_is_404(self, client):
         for call in (client.status, client.result_bytes, client.cancel):
             with pytest.raises(ServiceError) as excinfo:
