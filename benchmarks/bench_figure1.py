@@ -18,22 +18,25 @@ import time
 import pytest
 
 from benchmarks.conftest import assert_speedup_if_required, print_series
+from repro.api import ExperimentSpec, run
 from repro.experiments.config import FIGURE_DELAY_BOUNDS, FIGURE_ENERGY_BUDGET_FIXED
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
 from repro.runtime import SolveCache, build_runner
 
 
+def run_figure1(grid: int, runner=None, protocols=()):
+    """Run the ``figure1`` spec (the paper's Lmax grid at Ebudget = 0.06 J).
+
+    The default runner has no cache: these benches time the actual solves;
+    the cache-hit path has its own bench below.
+    """
+    spec = ExperimentSpec.experiment("figure1").with_solver(grid_points=grid)
+    if protocols:
+        spec = spec.with_protocols(*protocols)
+    return run(spec, runner=runner or build_runner(workers=1, use_cache=False))
+
+
 def _run_protocol(protocol: str, grid: int):
-    # use_cache=False: these benches time the actual solves; the cache-hit
-    # path has its own bench below.
-    results = reproduce_figure1(
-        protocols=(protocol,),
-        delay_bounds=FIGURE_DELAY_BOUNDS,
-        energy_budget=FIGURE_ENERGY_BUDGET_FIXED,
-        grid_points_per_dimension=grid,
-        use_cache=False,
-    )
-    return results[protocol]
+    return run_figure1(grid, protocols=(protocol,)).raw[protocol]
 
 
 def _check_and_print(sweep, label: str) -> None:
@@ -67,11 +70,8 @@ def test_figure1_saturation_structure(benchmark, figure_grid):
     large ``Lmax`` (its energy optimum becomes interior), DMAC saturates only
     near the synchronization bound, LMAC keeps improving up to 6 s."""
     results = benchmark.pedantic(
-        reproduce_figure1,
-        kwargs={"grid_points_per_dimension": figure_grid, "use_cache": False},
-        rounds=1,
-        iterations=1,
-    )
+        run_figure1, args=(figure_grid,), rounds=1, iterations=1
+    ).raw
     xmac = [s.energy_star for s in results["xmac"].solutions]
     lmac = [s.energy_star for s in results["lmac"].solutions]
     # X-MAC: identical agreements once the delay bound stops binding (>= 3 s).
@@ -89,16 +89,14 @@ def test_figure1_parallel_speedup(benchmark, figure_grid, bench_workers):
     alongside to report the speedup.  Output equality is asserted exactly —
     parallelism must be invisible in the results.
     """
-    kwargs = {"grid_points_per_dimension": figure_grid}
-
     started = time.perf_counter()
-    serial = reproduce_figure1(runner=build_runner(workers=1, use_cache=False), **kwargs)
+    serial = run_figure1(figure_grid, runner=build_runner(workers=1, use_cache=False))
     serial_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
     parallel = benchmark.pedantic(
-        reproduce_figure1,
-        kwargs={"runner": build_runner(workers=bench_workers, use_cache=False), **kwargs},
+        run_figure1,
+        args=(figure_grid, build_runner(workers=bench_workers, use_cache=False)),
         rounds=1,
         iterations=1,
     )
@@ -116,24 +114,23 @@ def test_figure1_parallel_speedup(benchmark, figure_grid, bench_workers):
             },
         ],
     )
-    assert figure1_rows(serial) == figure1_rows(parallel), "parallel output must be bit-identical"
+    assert serial.rows() == parallel.rows(), "parallel output must be bit-identical"
     assert_speedup_if_required(speedup)
 
 
 def test_figure1_cache_hit_path(benchmark, figure_grid):
     """A warm solve cache answers the whole figure grid in near-zero time."""
     cache = SolveCache()
-    kwargs = {"grid_points_per_dimension": figure_grid}
     cold_runner = build_runner(workers=1, cache=cache)
 
     started = time.perf_counter()
-    cold = reproduce_figure1(runner=cold_runner, **kwargs)
+    cold = run_figure1(figure_grid, runner=cold_runner)
     cold_seconds = time.perf_counter() - started
 
     warm_runner = build_runner(workers=1, cache=cache)
     started = time.perf_counter()
     warm = benchmark.pedantic(
-        reproduce_figure1, kwargs={"runner": warm_runner, **kwargs}, rounds=1, iterations=1
+        run_figure1, args=(figure_grid, warm_runner), rounds=1, iterations=1
     )
     warm_seconds = time.perf_counter() - started
 
@@ -145,6 +142,6 @@ def test_figure1_cache_hit_path(benchmark, figure_grid):
         ],
     )
     stats = warm_runner.cache_stats()
-    assert stats.hits == sum(len(sweep.values) for sweep in warm.values())
-    assert figure1_rows(warm) == figure1_rows(cold)
+    assert stats.hits == sum(len(sweep.values) for sweep in warm.raw.values())
+    assert warm.rows() == cold.rows()
     assert warm_seconds < cold_seconds / 10.0, "cache-hit path should be >10x faster"

@@ -11,20 +11,24 @@ from __future__ import annotations
 import pytest
 
 from benchmarks.conftest import print_series
+from repro.api import ExperimentSpec, run
 from repro.experiments.config import FIGURE_ENERGY_BUDGETS, FIGURE_MAX_DELAY_FIXED
-from repro.experiments.figure2 import reproduce_figure2
+from repro.runtime import build_runner
+
+
+def run_figure2(grid: int, protocols=()):
+    """Run the ``figure2`` spec (the paper's Ebudget grid at Lmax = 6 s).
+
+    No cache: these benches time the actual solves.
+    """
+    spec = ExperimentSpec.experiment("figure2").with_solver(grid_points=grid)
+    if protocols:
+        spec = spec.with_protocols(*protocols)
+    return run(spec, runner=build_runner(workers=1, use_cache=False)).raw
 
 
 def _run_protocol(protocol: str, grid: int):
-    # use_cache=False: these benches time the actual solves.
-    results = reproduce_figure2(
-        protocols=(protocol,),
-        energy_budgets=FIGURE_ENERGY_BUDGETS,
-        max_delay=FIGURE_MAX_DELAY_FIXED,
-        grid_points_per_dimension=grid,
-        use_cache=False,
-    )
-    return results[protocol]
+    return run_figure2(grid, protocols=(protocol,))[protocol]
 
 
 def _check_and_print(sweep, label: str) -> None:
@@ -57,10 +61,7 @@ def test_figure2_protocol_energy_ordering(benchmark, figure_grid):
     """At the largest budget, X-MAC's delay-optimal corner is the cheapest of
     the three protocols (the x-axis ranges of the paper's sub-figures)."""
     results = benchmark.pedantic(
-        reproduce_figure2,
-        kwargs={"grid_points_per_dimension": figure_grid, "use_cache": False},
-        rounds=1,
-        iterations=1,
+        run_figure2, args=(figure_grid,), rounds=1, iterations=1
     )
     worst_energy = {
         name: results[name].solutions[-1].energy_worst for name in ("xmac", "dmac", "lmac")

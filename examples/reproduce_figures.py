@@ -8,6 +8,10 @@ For every protocol (X-MAC, DMAC, LMAC) and every requirement value the script
 prints the corner points ``(Ebest, Lworst)`` / ``(Eworst, Lbest)`` and the
 Nash bargaining trade-off point ``(E*, L*)`` — the series plotted in the
 paper's figures — and writes them to ``figure1.csv`` / ``figure2.csv``.
+
+Each figure is one declarative spec of kind ``figure1`` / ``figure2`` (the
+same pipeline as ``repro-mac-game run examples/specs/figure1.json``); the
+spec kinds default to the paper's scenario, protocols and requirement grids.
 """
 
 from __future__ import annotations
@@ -15,8 +19,7 @@ from __future__ import annotations
 import argparse
 
 from repro.analysis.reporting import format_table, write_csv
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
-from repro.experiments.figure2 import figure2_rows, reproduce_figure2
+from repro.api import ExperimentSpec, run
 
 
 def main() -> None:
@@ -29,20 +32,23 @@ def main() -> None:
     parser.add_argument("--output-prefix", default="figure", help="CSV output prefix")
     args = parser.parse_args()
 
+    figure1_spec = ExperimentSpec.experiment("figure1")
+    figure2_spec = ExperimentSpec.experiment("figure2")
+    if args.quick:
+        figure1_spec = figure1_spec.with_sweep("max_delay", [1.0, 3.0, 6.0])
+        figure2_spec = figure2_spec.with_sweep("energy_budget", [0.01, 0.03, 0.06])
     grid = 30 if args.quick else 60
-    delay_bounds = (1.0, 3.0, 6.0) if args.quick else (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    energy_budgets = (0.01, 0.03, 0.06) if args.quick else (0.01, 0.02, 0.03, 0.04, 0.05, 0.06)
 
     print("=== Figure 1: E-L trade-off, Ebudget = 0.06 J, Lmax swept ===")
-    figure1 = reproduce_figure1(delay_bounds=delay_bounds, grid_points_per_dimension=grid)
-    rows1 = figure1_rows(figure1)
+    figure1 = run(figure1_spec.with_solver(grid_points=grid)).raw
+    rows1 = [row for sweep in figure1.values() for row in sweep.series()]
     print(format_table(rows1))
     path1 = write_csv(rows1, f"{args.output_prefix}1.csv")
     print(f"(wrote {path1})\n")
 
     print("=== Figure 2: E-L trade-off, Lmax = 6 s, Ebudget swept ===")
-    figure2 = reproduce_figure2(energy_budgets=energy_budgets, grid_points_per_dimension=grid)
-    rows2 = figure2_rows(figure2)
+    figure2 = run(figure2_spec.with_solver(grid_points=grid)).raw
+    rows2 = [row for sweep in figure2.values() for row in sweep.series()]
     print(format_table(rows2))
     path2 = write_csv(rows2, f"{args.output_prefix}2.csv")
     print(f"(wrote {path2})\n")

@@ -1,32 +1,20 @@
-"""Requirement sweeps.
+"""Requirement sweep results.
 
 The paper's two figures are sweeps of the application requirements: Figure 1
 fixes the energy budget and varies the delay bound, Figure 2 fixes the delay
-bound and varies the energy budget.  These helpers run such sweeps for one or
-several protocols and return structured results the reporting layer and the
-benches can print.
-
-All sweeps route through the shared :func:`repro.api.engine.solve_grid`
-primitive (and hence the :mod:`repro.runtime` batch runner): solves are
-memoized in the solve cache and can be fanned out across worker processes
-(``runner=build_runner(workers=4)``) with output bit-identical to a serial
-run — and bit-identical to the same sweep described declaratively as an
-:class:`~repro.api.spec.ExperimentSpec`.
+bound and varies the energy budget.  Such sweeps are run through the spec
+pipeline (``ExperimentSpec`` kinds ``sweep``, ``figure1`` and ``figure2``);
+:class:`SweepResult` is the per-protocol ``raw`` those kinds return, and
+:func:`collect_sweep` folds a sweep's solve outcomes into one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Dict, List, Sequence
 
-from repro.core.requirements import ApplicationRequirements
 from repro.core.results import GameSolution
-from repro.exceptions import ConfigurationError
 from repro.protocols.base import DutyCycledMACModel
-from repro.runtime import BatchRunner, default_runner
-
-#: The requirement attributes a sweep may vary.
-SWEEPABLE_PARAMETERS = ("max_delay", "energy_budget")
 
 
 @dataclass
@@ -59,21 +47,7 @@ class SweepResult:
     @property
     def feasible_values(self) -> List[float]:
         """The swept values that produced a solution, in sweep order."""
-        if len(self.feasibility) == len(self.values):
-            return [value for value, ok in zip(self.values, self.feasibility) if ok]
-        # Legacy construction without per-index flags: drop each infeasible
-        # value only as many times as it was recorded infeasible, so a value
-        # swept twice with one feasible occurrence is not dropped twice.
-        remaining: Dict[float, int] = {}
-        for value in self.infeasible_values:
-            remaining[value] = remaining.get(value, 0) + 1
-        feasible: List[float] = []
-        for value in self.values:
-            if remaining.get(value, 0) > 0:
-                remaining[value] -= 1
-                continue
-            feasible.append(value)
-        return feasible
+        return [value for value, ok in zip(self.values, self.feasibility) if ok]
 
     def series(self) -> List[Dict[str, float]]:
         """One flat row per feasible sweep value (for tables and CSV)."""
@@ -93,36 +67,6 @@ class SweepResult:
                 }
             )
         return rows
-
-
-def _requirements_for(
-    base: ApplicationRequirements, parameter: str, value: float
-) -> ApplicationRequirements:
-    if parameter == "max_delay":
-        return base.with_max_delay(float(value))
-    return base.with_energy_budget(float(value))
-
-
-def _build_cells(
-    model: DutyCycledMACModel,
-    base_requirements: ApplicationRequirements,
-    parameter: str,
-    values: Sequence[float],
-    solver_options: Mapping[str, object],
-) -> List[object]:
-    from repro.api.engine import GridCell
-
-    return [
-        GridCell(
-            scenario="",
-            protocol=model.name,
-            model=model,
-            requirements=_requirements_for(base_requirements, parameter, value),
-            solver_options=dict(solver_options),
-            tag=float(value),
-        )
-        for value in values
-    ]
 
 
 def collect_sweep(
@@ -158,105 +102,3 @@ def collect_sweep(
             raise outcome.error
     return result
 
-
-#: Backwards-compatible alias (the folding helper used to be private).
-_collect_sweep = collect_sweep
-
-
-def _run_sweep(
-    model: DutyCycledMACModel,
-    base_requirements: ApplicationRequirements,
-    parameter: str,
-    values: Sequence[float],
-    solver_options: Mapping[str, object],
-    runner: Optional[BatchRunner] = None,
-) -> SweepResult:
-    from repro.api.engine import solve_grid
-
-    if parameter not in SWEEPABLE_PARAMETERS:
-        raise ConfigurationError(f"unknown swept parameter {parameter!r}")
-    runner = runner if runner is not None else default_runner()
-    cells = _build_cells(model, base_requirements, parameter, values, solver_options)
-    outcomes = solve_grid(cells, runner)
-    return collect_sweep(model, parameter, values, outcomes)
-
-
-def sweep_grid(
-    models: Mapping[str, DutyCycledMACModel],
-    parameter: str,
-    values: Iterable[float],
-    base_requirements: Mapping[str, ApplicationRequirements],
-    runner: Optional[BatchRunner] = None,
-    **solver_options: object,
-) -> Dict[str, SweepResult]:
-    """Sweep one requirement over several protocols as a single task grid.
-
-    The full (protocol × value) grid is submitted to the runner as one
-    batch, so a parallel executor can balance all solves across its workers
-    instead of parallelizing one protocol at a time.
-
-    Args:
-        models: Protocol models keyed by the name the result should carry.
-        parameter: ``"max_delay"`` or ``"energy_budget"``.
-        values: The swept requirement values (shared by every protocol).
-        base_requirements: Per-protocol base requirements (same keys as
-            ``models``); the swept attribute is substituted per value.
-        runner: Batch runner; defaults to the serial cached runner.
-        solver_options: Extra options forwarded to the game solver.
-    """
-    from repro.api.engine import solve_grid
-
-    if parameter not in SWEEPABLE_PARAMETERS:
-        raise ConfigurationError(f"unknown swept parameter {parameter!r}")
-    missing = [name for name in models if name not in base_requirements]
-    if missing:
-        raise ConfigurationError(
-            f"base_requirements missing for protocols: {', '.join(sorted(missing))}"
-        )
-    runner = runner if runner is not None else default_runner()
-    values = [float(value) for value in values]
-    cells: List[object] = []
-    for name, model in models.items():
-        cells.extend(
-            _build_cells(model, base_requirements[name], parameter, values, solver_options)
-        )
-    outcomes = solve_grid(cells, runner)
-    results: Dict[str, SweepResult] = {}
-    for position, (name, model) in enumerate(models.items()):
-        slice_ = outcomes[position * len(values) : (position + 1) * len(values)]
-        results[name] = collect_sweep(model, parameter, values, slice_)
-    return results
-
-
-def sweep_delay_bound(
-    model: DutyCycledMACModel,
-    energy_budget: float,
-    delay_bounds: Iterable[float],
-    sampling_rate: Optional[float] = None,
-    runner: Optional[BatchRunner] = None,
-    **solver_options: object,
-) -> SweepResult:
-    """Figure-1-style sweep: fix ``Ebudget`` and vary ``Lmax``."""
-    requirements = ApplicationRequirements(
-        energy_budget=energy_budget,
-        max_delay=max(delay_bounds := list(delay_bounds)),
-        sampling_rate=sampling_rate or model.scenario.sampling_rate,
-    )
-    return _run_sweep(model, requirements, "max_delay", delay_bounds, solver_options, runner)
-
-
-def sweep_energy_budget(
-    model: DutyCycledMACModel,
-    max_delay: float,
-    energy_budgets: Iterable[float],
-    sampling_rate: Optional[float] = None,
-    runner: Optional[BatchRunner] = None,
-    **solver_options: object,
-) -> SweepResult:
-    """Figure-2-style sweep: fix ``Lmax`` and vary ``Ebudget``."""
-    requirements = ApplicationRequirements(
-        energy_budget=max(energy_budgets := list(energy_budgets)),
-        max_delay=max_delay,
-        sampling_rate=sampling_rate or model.scenario.sampling_rate,
-    )
-    return _run_sweep(model, requirements, "energy_budget", energy_budgets, solver_options, runner)

@@ -8,11 +8,8 @@ cells into game solutions: it pushes every constructible cell through the
 shared :class:`~repro.runtime.batch.BatchRunner` (solve cache, in-batch
 dedup, process-pool fan-out with submission-order reassembly) and applies
 the library-wide error policy (model-construction failures and infeasible
-games are *data*; anything else re-raises).  The legacy entry points —
-:class:`~repro.scenarios.suite.ScenarioSuite`, the sweep drivers in
-:mod:`repro.analysis.sweep`, and :func:`repro.validation.campaign.run_campaign`
-— all route through it, which is what makes a spec-driven run bit-identical
-to the entry point it replaces.
+games are *data*; anything else re-raises).  Every solving executor below
+and :func:`repro.validation.campaign.run_campaign` route through it.
 
 The **executors** — one per workload kind — turn an
 :class:`~repro.api.plan.ExperimentPlan` into records: :func:`run` resolves
@@ -73,8 +70,7 @@ class GridCell:
     """One (scenario, protocol) game of a solve grid.
 
     Attributes:
-        scenario: Scenario label (preset name, ``"custom"``, or ``""`` for
-            sweeps over caller-supplied models).
+        scenario: Scenario label (preset name or ``"custom"``).
         protocol: Canonical protocol name.
         model: The constructed protocol model, or ``None`` when
             construction failed (see ``build_error``).
@@ -196,13 +192,12 @@ def solve_grid(cells: Sequence[GridCell], runner: BatchRunner) -> List[GridOutco
             outcomes[position] = GridOutcome(cell=cell)
             continue
         positions.append(position)
-        label = f"{cell.scenario}/{cell.protocol}" if cell.scenario else cell.protocol
         tasks.append(
             SolveTask(
                 model=cell.model,
                 requirements=cell.requirements,
                 solver_options=dict(cell.solver_options),
-                label=label,
+                label=f"{cell.scenario}/{cell.protocol}",
                 tag=cell.tag,
             )
         )
@@ -305,7 +300,7 @@ def _execute_solve(
     for outcome in solve_grid(cells, runner):
         if not outcome.ok:
             # A single requested solve with no feasible point is an error,
-            # exactly like the legacy `solve` entry point.
+            # exactly like a direct ``EnergyDelayGame.solve``.
             raise outcome.error
         unit = outcome.tag
         solutions[unit.protocol] = outcome.solution
@@ -349,8 +344,8 @@ def _execute_sweep_family(
         value = float(unit.settings["value"])
         if outcome.ok:
             row = _solution_row(unit.scenario, unit.protocol, outcome.solution)
-            # The swept requirement sits right after the tags, like the
-            # legacy sweep series.
+            # The swept requirement sits right after the tags, like
+            # ``SweepResult.series``.
             row = {
                 "scenario": row.pop("scenario"),
                 "protocol": row.pop("protocol"),
@@ -525,20 +520,14 @@ def runner_for(spec: ExperimentSpec, store: Optional[Any] = None) -> BatchRunner
     """Assemble the :class:`BatchRunner` a spec's runtime policy describes.
 
     Args:
-        spec: The spec whose runtime policy (workers, mode, cache) applies.
+        spec: The spec whose runtime policy (workers, cache) applies.
         store: Optional persistent result store
             (:class:`repro.store.ResultStore`) to back the solve cache —
             ignored when the policy disables caching (``--no-cache``
             bypasses *both* layers).
     """
     runtime = spec.runtime
-    return build_runner(
-        workers=runtime.workers,
-        mode=runtime.mode,
-        use_cache=runtime.cache,
-        chunk_size=runtime.chunk_size,
-        store=store,
-    )
+    return build_runner(workers=runtime.workers, use_cache=runtime.cache, store=store)
 
 
 def run(source: Runnable, runner: Optional[BatchRunner] = None) -> ResultSet:

@@ -76,9 +76,8 @@ class ResultSet:
         metadata: Run metadata (runner description, cache counters, unit
             counts) — deliberately *excluded* from the provenance hash, so
             parallel and serial runs of the same spec share provenance.
-        raw: The kind-specific aggregate result (e.g. the ``SuiteResult``
-            or ``CampaignResult``), for callers porting from the legacy
-            entry points.
+        raw: The kind-specific aggregate result (a ``SweepResult`` per
+            protocol, the ``SuiteResult`` or the ``CampaignResult``).
     """
 
     spec: ExperimentSpec

@@ -33,7 +33,7 @@ import json
 import math
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.exceptions import ConfigurationError
 
@@ -61,18 +61,21 @@ _SWEEP_ALIASES = {
 def _require_number(owner: str, name: str, value: object, positive: bool = True) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigurationError(f"{owner}.{name} must be a number, got {value!r}")
+    # JSON parses ``Infinity`` and ``NaN``: an infinite horizon would never
+    # end the simulator's traffic-scheduling loop, and a non-finite
+    # requirement would be recorded as a bogus infeasible game.
+    if not math.isfinite(value):
+        raise ConfigurationError(f"{owner}.{name} must be finite, got {value!r}")
     if positive and value <= 0:
         raise ConfigurationError(f"{owner}.{name} must be positive, got {value!r}")
     return float(value)
 
 
-def _require_horizon(owner: str, value: object) -> float:
-    # JSON parses ``Infinity`` and ``NaN``; an infinite horizon would never
-    # end the simulator's traffic-scheduling loop.
-    horizon = _require_number(owner, "horizon", value)
-    if not math.isfinite(horizon):
-        raise ConfigurationError(f"{owner}.horizon must be finite, got {value!r}")
-    return horizon
+def _require_list(owner: str, name: str, value: object) -> Tuple[object, ...]:
+    # A bare string is iterable too, and would be split into characters.
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{owner}.{name} must be a list, got {value!r}")
+    return tuple(value)
 
 
 def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str]) -> None:
@@ -89,8 +92,19 @@ def _check_keys(owner: str, payload: Mapping[str, object], known: Sequence[str])
 #: still carry them, so they are read and dropped before the section is
 #: parsed; any value outside the accepted ones is an error naming the key.
 #: ``None`` in place of the tuple accepts every value: the adaptive grid
-#: knobs never changed an answer.
-_RETIRED_KEYS: Tuple[Tuple[str, str, Optional[Tuple[object, ...]]], ...] = (
+#: knobs never changed an answer.  A predicate in its place accepts the
+#: values it returns true for, and its docstring names them.
+_OldValues = Union[Tuple[object, ...], Callable[[object], bool]]
+
+
+def _null_or_positive_int(value: object) -> bool:
+    """null or an integer >= 1"""
+    return value is None or (
+        isinstance(value, int) and not isinstance(value, bool) and value >= 1
+    )
+
+
+_RETIRED_KEYS: Tuple[Tuple[str, str, Optional[_OldValues]], ...] = (
     # One simulator replaced the scalar/batched engine choice.
     ("runtime", "sim_engine", ("scalar", "batched")),
     # One grid stage replaced the exhaustive/adaptive choice; the old
@@ -100,6 +114,10 @@ _RETIRED_KEYS: Tuple[Tuple[str, str, Optional[Tuple[object, ...]]], ...] = (
     ("solver", "coarse_points", None),
     ("solver", "refine_rounds", None),
     ("solver", "top_k", None),
+    # The worker count alone picks the executor, and chunks are always
+    # auto-sized; the old ``RuntimePolicy.as_dict`` wrote both keys.
+    ("runtime", "mode", ("auto", "serial", "thread", "process")),
+    ("runtime", "chunk_size", _null_or_positive_int),
 )
 
 
@@ -114,10 +132,17 @@ def _drop_retired(section: str, payload: Mapping[str, object]) -> Dict[str, obje
         if owner != section or key not in payload:
             continue
         value = payload.pop(key)
-        if accepted is not None and value not in accepted:
+        if accepted is None:
+            continue
+        if callable(accepted):
+            ok, described = accepted(value), accepted.__doc__
+        else:
+            ok = value in accepted
+            described = ", ".join(json.dumps(old) for old in accepted)
+        if not ok:
             raise ConfigurationError(
                 f"{section}.{key} is retired and only accepts the old values "
-                f"{', '.join(json.dumps(old) for old in accepted)}; got {value!r}"
+                f"{described}; got {value!r}"
             )
     return payload
 
@@ -138,15 +163,10 @@ class RuntimePolicy:
     Attributes:
         workers: Worker processes (``1`` = serial, ``0`` = one per CPU).
         cache: Whether solves are memoized in the process-wide solve cache.
-        mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
-            ``"process"``).
-        chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
     """
 
     workers: int = 1
     cache: bool = True
-    mode: str = "auto"
-    chunk_size: Optional[int] = None
 
     def __post_init__(self) -> None:
         _require_int("runtime", "workers", self.workers, 0)
@@ -154,27 +174,18 @@ class RuntimePolicy:
             raise ConfigurationError(
                 f"runtime.cache must be true or false, got {self.cache!r}"
             )
-        if self.chunk_size is not None:
-            _require_int("runtime", "chunk_size", self.chunk_size, 1)
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "RuntimePolicy":
         payload = _drop_retired("runtime", payload)
-        _check_keys("runtime", payload, ("workers", "cache", "mode", "chunk_size"))
+        _check_keys("runtime", payload, ("workers", "cache"))
         return cls(
             workers=payload.get("workers", 1),  # type: ignore[arg-type]
             cache=payload.get("cache", True),  # type: ignore[arg-type]
-            mode=str(payload.get("mode", "auto")),
-            chunk_size=payload.get("chunk_size"),  # type: ignore[arg-type]
         )
 
     def as_dict(self) -> Dict[str, object]:
-        return {
-            "workers": self.workers,
-            "cache": self.cache,
-            "mode": self.mode,
-            "chunk_size": self.chunk_size,
-        }
+        return {"workers": self.workers, "cache": self.cache}
 
 
 @dataclass(frozen=True)
@@ -232,7 +243,8 @@ class SweepAxis:
             )
         object.__setattr__(self, "parameter", parameter)
         values = tuple(
-            _require_number("sweep", "values[]", value) for value in self.values
+            _require_number("sweep", "values[]", value)
+            for value in _require_list("sweep", "values", self.values)
         )
         if not values:
             raise ConfigurationError("sweep.values must not be empty")
@@ -245,7 +257,7 @@ class SweepAxis:
             raise ConfigurationError("sweep needs both 'parameter' and 'values'")
         return cls(
             parameter=str(payload["parameter"]),
-            values=tuple(payload["values"]),  # type: ignore[arg-type]
+            values=payload["values"],  # type: ignore[arg-type]
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -300,12 +312,15 @@ class SimulationSettings:
     parameters: Optional[Mapping[str, float]] = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "horizon", _require_horizon("simulation", self.horizon))
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
-            raise ConfigurationError(
-                f"simulation.seed must be an integer, got {self.seed!r}"
-            )
+        object.__setattr__(
+            self, "horizon", _require_number("simulation", "horizon", self.horizon)
+        )
+        _require_int("simulation", "seed", self.seed, 0)
         if self.parameters is not None:
+            if not isinstance(self.parameters, Mapping):
+                raise ConfigurationError(
+                    f"simulation.parameters must be a mapping, got {self.parameters!r}"
+                )
             object.__setattr__(
                 self,
                 "parameters",
@@ -319,8 +334,8 @@ class SimulationSettings:
     def from_dict(cls, payload: Mapping[str, object]) -> "SimulationSettings":
         _check_keys("simulation", payload, ("horizon", "seed", "parameters"))
         return cls(
-            horizon=float(payload.get("horizon", 2000.0)),
-            seed=int(payload.get("seed", 1)),
+            horizon=payload.get("horizon", 2000.0),  # type: ignore[arg-type]
+            seed=payload.get("seed", 1),  # type: ignore[arg-type]
             parameters=payload.get("parameters"),  # type: ignore[arg-type]
         )
 
@@ -350,7 +365,19 @@ class CampaignSettings:
     min_delivery_ratio: float = 0.9
 
     def __post_init__(self) -> None:
-        _require_horizon("campaign", self.horizon)
+        _require_int("campaign", "replications", self.replications, 1)
+        _require_int("campaign", "base_seed", self.base_seed, 0)
+        for name in ("horizon", "confidence", "energy_tolerance", "delay_tolerance"):
+            object.__setattr__(
+                self, name, _require_number("campaign", name, getattr(self, name))
+            )
+        object.__setattr__(
+            self,
+            "min_delivery_ratio",
+            _require_number(
+                "campaign", "min_delivery_ratio", self.min_delivery_ratio, positive=False
+            ),
+        )
 
     @classmethod
     def from_dict(cls, payload: Mapping[str, object]) -> "CampaignSettings":
@@ -367,22 +394,7 @@ class CampaignSettings:
                 "min_delivery_ratio",
             ),
         )
-        defaults = cls()
-        return cls(
-            replications=int(payload.get("replications", defaults.replications)),
-            base_seed=int(payload.get("base_seed", defaults.base_seed)),
-            horizon=float(payload.get("horizon", defaults.horizon)),
-            confidence=float(payload.get("confidence", defaults.confidence)),
-            energy_tolerance=float(
-                payload.get("energy_tolerance", defaults.energy_tolerance)
-            ),
-            delay_tolerance=float(
-                payload.get("delay_tolerance", defaults.delay_tolerance)
-            ),
-            min_delivery_ratio=float(
-                payload.get("min_delivery_ratio", defaults.min_delivery_ratio)
-            ),
-        )
+        return cls(**payload)  # type: ignore[arg-type]
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -465,11 +477,13 @@ class ExperimentSpec:
                 f"known kinds: {', '.join(WORKLOAD_KINDS)}"
             )
         object.__setattr__(self, "scenario", _normalize_scenario(self.scenario))
+        scenarios = _require_list("spec", "scenarios", self.scenarios)
         object.__setattr__(
-            self, "scenarios", tuple(str(name).strip().lower() for name in self.scenarios)
+            self, "scenarios", tuple(str(name).strip().lower() for name in scenarios)
         )
+        protocols = _require_list("spec", "protocols", self.protocols)
         object.__setattr__(
-            self, "protocols", tuple(str(name).strip() for name in self.protocols)
+            self, "protocols", tuple(str(name).strip() for name in protocols)
         )
 
     # ------------------------------------------------------------------ #
@@ -576,9 +590,9 @@ class ExperimentSpec:
         if payload.get("scenario") is not None:
             kwargs["scenario"] = payload["scenario"]
         if payload.get("scenarios"):
-            kwargs["scenarios"] = tuple(payload["scenarios"])  # type: ignore[arg-type]
+            kwargs["scenarios"] = payload["scenarios"]
         if payload.get("protocols"):
-            kwargs["protocols"] = tuple(payload["protocols"])  # type: ignore[arg-type]
+            kwargs["protocols"] = payload["protocols"]
         if payload.get("requirements") is not None:
             kwargs["requirements"] = RequirementOverrides.from_dict(
                 payload["requirements"]  # type: ignore[arg-type]

@@ -1,12 +1,13 @@
 """Parallel experiment runtime.
 
-Shared execution layer for everything that solves many games: requirement
-sweeps, figure reproductions, grid searches, scalability studies and the
-CLI.  Three pieces compose:
+Shared execution layer for everything that solves many games: the spec
+pipeline's sweeps, figures, suites and campaigns, scalability studies and
+the CLI.  Three pieces compose:
 
-* :mod:`repro.runtime.executor` — executor policies (serial / thread /
-  process pool) with deterministic, submission-ordered reassembly;
-* :mod:`repro.runtime.cache` — a thread-safe LRU memo of game solutions
+* :mod:`repro.runtime.executor` — executor policies (serial / process
+  pool, picked by the worker count) with deterministic, submission-ordered
+  reassembly;
+* :mod:`repro.runtime.cache` — a thread-safe memo of game solutions
   keyed by (protocol model, requirements, solver options);
 * :mod:`repro.runtime.batch` — the :class:`BatchRunner` that chunks task
   grids across workers with progress callbacks and per-task error capture.
@@ -22,7 +23,6 @@ from repro.runtime.batch import (
     SolveTask,
     TaskOutcome,
     build_runner,
-    default_runner,
 )
 from repro.runtime.cache import (
     CacheStats,
@@ -33,11 +33,9 @@ from repro.runtime.cache import (
     solve_key,
 )
 from repro.runtime.executor import (
-    EXECUTOR_MODES,
     ExecutorPolicy,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 
@@ -46,17 +44,14 @@ __all__ = [
     "SolveTask",
     "TaskOutcome",
     "build_runner",
-    "default_runner",
     "CacheStats",
     "SolveCache",
     "default_cache",
     "freeze",
     "model_fingerprint",
     "solve_key",
-    "EXECUTOR_MODES",
     "ExecutorPolicy",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
 ]

@@ -118,28 +118,18 @@ class BatchRunner:
         executor: Where the solves run; defaults to the serial policy.
         cache: Solve memo consulted before dispatch and updated after;
             ``None`` disables caching.
-        chunk_size: Number of tasks per dispatched chunk.  ``None`` picks a
-            size that gives each worker a few chunks (for progress
-            granularity and tail-latency balance).
         progress: Optional ``progress(done, total)`` callback, invoked after
             the cache pass and after every finished chunk.
-
-    Raises:
-        ValueError: if ``chunk_size`` is given but smaller than 1.
     """
 
     def __init__(
         self,
         executor: Optional[ExecutorPolicy] = None,
         cache: Optional[SolveCache] = None,
-        chunk_size: Optional[int] = None,
         progress: Optional[ProgressCallback] = None,
     ) -> None:
-        if chunk_size is not None and chunk_size < 1:
-            raise ValueError(f"chunk_size must be >= 1 or None, got {chunk_size}")
         self._executor = executor if executor is not None else SerialExecutor()
         self._cache = cache
-        self._chunk_size = chunk_size
         self._progress = progress
 
     # ------------------------------------------------------------------ #
@@ -176,12 +166,9 @@ class BatchRunner:
     # ------------------------------------------------------------------ #
 
     def _chunks(self, payloads: Sequence[_Payload]) -> List[List[_Payload]]:
-        if self._chunk_size is not None:
-            size = self._chunk_size
-        else:
-            # Aim for ~4 chunks per worker so stragglers can be rebalanced,
-            # while serial runs still report progress along the way.
-            size = max(1, math.ceil(len(payloads) / (self._executor.workers * 4)))
+        # Aim for ~4 chunks per worker so stragglers can be rebalanced, while
+        # serial runs still report progress along the way.
+        size = max(1, math.ceil(len(payloads) / (self._executor.workers * 4)))
         return [list(payloads[i : i + size]) for i in range(0, len(payloads), size)]
 
     def run(self, tasks: Sequence[SolveTask]) -> List[TaskOutcome]:
@@ -282,32 +269,28 @@ class BatchRunner:
 
 def build_runner(
     workers: Optional[int] = None,
-    mode: str = "auto",
     use_cache: bool = True,
     cache: Optional[SolveCache] = None,
-    chunk_size: Optional[int] = None,
     progress: Optional[ProgressCallback] = None,
     store: Optional[Any] = None,
 ) -> BatchRunner:
     """Assemble a :class:`BatchRunner` from simple knobs.
 
-    This is the one-stop constructor the CLI and the experiment drivers use:
-    ``workers`` picks the executor (``None``/1 → serial, N → process pool,
-    0 → one per CPU), ``use_cache`` toggles the process-wide solve cache, and
-    ``cache`` substitutes an explicit cache instance.
+    This is the one-stop constructor the spec pipeline, the CLI and the
+    service use: ``workers`` picks the executor (``None``/1 → serial, N →
+    process pool, 0 → one per CPU), ``use_cache`` toggles the process-wide
+    solve cache, and ``cache`` substitutes an explicit cache instance.
+    ``build_runner()`` is the library default: serial, process-wide cache.
 
     Args:
         workers: Worker count handed to
             :func:`~repro.runtime.executor.resolve_executor`.
-        mode: Executor mode (``"auto"``, ``"serial"``, ``"thread"``,
-            ``"process"``).
         use_cache: Whether solves are memoized; ``False`` forces every solve
             to be recomputed — and deliberately bypasses ``store`` too, so
             "no cache" means *no cache of any kind*, never a silent
             store-only half-measure.
         cache: Explicit cache instance (defaults to the process-wide cache
             when ``use_cache`` is true).
-        chunk_size: Tasks per dispatched chunk (``None`` auto-sizes).
         progress: Optional ``progress(done, total)`` callback.
         store: Optional persistent result store
             (:class:`repro.store.ResultStore`).  When given (and caching is
@@ -319,7 +302,7 @@ def build_runner(
         The assembled :class:`BatchRunner`.
 
     Raises:
-        ConfigurationError: if the executor mode or worker count is invalid.
+        ConfigurationError: if the worker count is negative.
     """
     if cache is None and use_cache and store is not None:
         cache = SolveCache(store=store)
@@ -327,14 +310,5 @@ def build_runner(
         cache = default_cache()
     if not use_cache:
         cache = None
-    return BatchRunner(
-        executor=resolve_executor(workers, mode),
-        cache=cache,
-        chunk_size=chunk_size,
-        progress=progress,
-    )
+    return BatchRunner(executor=resolve_executor(workers), cache=cache, progress=progress)
 
-
-def default_runner() -> BatchRunner:
-    """Serial runner bound to the process-wide cache (the library default)."""
-    return BatchRunner(executor=SerialExecutor(), cache=default_cache())

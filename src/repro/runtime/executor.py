@@ -7,14 +7,14 @@ bit-identical to a serial run.  The policies here guarantee that by keying
 every submitted item with its submission index and reassembling results in
 submission order, no matter in which order the workers finish.
 
-Three policies are provided:
+Two policies are provided:
 
 * :class:`SerialExecutor` — run in the calling thread (the default, and the
-  reference semantics every other policy must reproduce);
-* :class:`ThreadExecutor` — a thread pool, useful for workloads dominated by
-  the GIL-releasing numpy/scipy kernels;
+  reference semantics the pool must reproduce);
 * :class:`ProcessExecutor` — a process pool for CPU-bound Python work (the
   game solves), forked so workers share the parent's imports.
+
+:func:`resolve_executor` picks between them from the worker count alone.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import abc
 import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, ThreadPoolExecutor, wait
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Iterable, List, Optional
 
 from repro.exceptions import ConfigurationError
@@ -48,7 +48,7 @@ class ExecutorPolicy(abc.ABC):
     therefore cannot depend on) scheduling order.
     """
 
-    #: Policy identifier used in reports (``"serial"``, ``"thread"``, ...).
+    #: Policy identifier used in reports (``"serial"`` or ``"process"``).
     name: str = "abstract"
 
     @property
@@ -113,53 +113,7 @@ class SerialExecutor(ExecutorPolicy):
         return results
 
 
-class _PoolExecutor(ExecutorPolicy):
-    """Shared submit/reassemble logic of the thread and process policies."""
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self._workers = _effective_workers(workers)
-
-    @property
-    def workers(self) -> int:
-        return self._workers
-
-    @abc.abstractmethod
-    def _make_pool(self, max_workers: int):
-        """Create the underlying ``concurrent.futures`` pool."""
-
-    def map_ordered(
-        self,
-        fn: Callable[[Any], Any],
-        items: Iterable[Any],
-        on_result: Optional[ResultCallback] = None,
-    ) -> List[Any]:
-        items = list(items)
-        if not items:
-            return []
-        results: List[Any] = [None] * len(items)
-        max_workers = min(self._workers, len(items))
-        with self._make_pool(max_workers) as pool:
-            pending = {pool.submit(fn, item): index for index, item in enumerate(items)}
-            while pending:
-                done, _ = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    index = pending.pop(future)
-                    results[index] = future.result()
-                    if on_result is not None:
-                        on_result(index, results[index])
-        return results
-
-
-class ThreadExecutor(_PoolExecutor):
-    """Thread-pool policy (no pickling; shares memory with the caller)."""
-
-    name = "thread"
-
-    def _make_pool(self, max_workers: int):
-        return ThreadPoolExecutor(max_workers=max_workers)
-
-
-class ProcessExecutor(_PoolExecutor):
+class ProcessExecutor(ExecutorPolicy):
     """Process-pool policy for CPU-bound Python work.
 
     On Linux the pool uses the ``fork`` start method so workers inherit the
@@ -171,46 +125,55 @@ class ProcessExecutor(_PoolExecutor):
 
     name = "process"
 
-    def _make_pool(self, max_workers: int):
+    def __init__(self, workers: Optional[int] = None) -> None:
+        self._workers = _effective_workers(workers)
+
+    @property
+    def workers(self) -> int:
+        return self._workers
+
+    def map_ordered(
+        self,
+        fn: Callable[[Any], Any],
+        items: Iterable[Any],
+        on_result: Optional[ResultCallback] = None,
+    ) -> List[Any]:
+        items = list(items)
+        if not items:
+            return []
+        results: List[Any] = [None] * len(items)
         context = None
         if sys.platform == "linux" and "fork" in multiprocessing.get_all_start_methods():
             context = multiprocessing.get_context("fork")
-        return ProcessPoolExecutor(max_workers=max_workers, mp_context=context)
+        max_workers = min(self._workers, len(items))
+        with ProcessPoolExecutor(max_workers=max_workers, mp_context=context) as pool:
+            pending = {pool.submit(fn, item): index for index, item in enumerate(items)}
+            while pending:
+                done, _ = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    index = pending.pop(future)
+                    results[index] = future.result()
+                    if on_result is not None:
+                        on_result(index, results[index])
+        return results
 
 
-#: Accepted ``mode`` values of :func:`resolve_executor`.
-EXECUTOR_MODES = ("auto", "serial", "thread", "process")
-
-
-def resolve_executor(workers: Optional[int] = None, mode: str = "auto") -> ExecutorPolicy:
-    """Build an executor policy from a worker count and a mode name.
+def resolve_executor(workers: Optional[int] = None) -> ExecutorPolicy:
+    """Build an executor policy from a worker count.
 
     Args:
-        workers: Desired concurrency.  ``0`` means "one worker per CPU".
-            Under ``mode="auto"``, ``None`` and ``1`` select the serial
-            policy; an explicit pool mode sizes ``None`` like ``0``.
-        mode: ``"serial"``, ``"thread"``, ``"process"``, or ``"auto"``
-            (serial for one worker or none given, process pool otherwise).
+        workers: Desired concurrency: ``None`` or ``1`` select the serial
+            policy, ``N > 1`` a process pool of ``N`` workers, and ``0`` one
+            worker per CPU (serial on a one-CPU host).
 
     Returns:
         The resolved :class:`ExecutorPolicy` instance.
 
     Raises:
-        ConfigurationError: if ``mode`` is not one of :data:`EXECUTOR_MODES`
-            or ``workers`` is negative.
+        ConfigurationError: if ``workers`` is negative.
     """
-    if mode not in EXECUTOR_MODES:
-        raise ConfigurationError(
-            f"unknown executor mode {mode!r}; expected one of {', '.join(EXECUTOR_MODES)}"
-        )
     if workers is not None and workers < 0:
         raise ConfigurationError(f"workers must be >= 0, got {workers}")
-    if mode == "serial":
-        return SerialExecutor()
-    if mode == "thread":
-        return ThreadExecutor(workers)
-    if mode == "process":
-        return ProcessExecutor(workers)
     if workers is None or _effective_workers(workers) <= 1:
         return SerialExecutor()
     return ProcessExecutor(workers)

@@ -1,13 +1,12 @@
-"""The scenario suite: every (scenario × protocol) game in one batch.
+"""Results of the scenario suite: every (scenario × protocol) game in one batch.
 
-:class:`ScenarioSuite` expands a set of scenario presets and protocol names
-into one solve grid and pushes it through the shared
+A suite is an :class:`~repro.api.spec.ExperimentSpec` of kind ``"suite"``:
+the spec pipeline expands its scenario presets and protocol names into one
+solve grid and pushes it through the shared
 :func:`repro.api.engine.solve_grid` primitive — so a suite run gets the
 solve cache, in-batch deduplication and process-pool fan-out (bit-identical
-to a serial run) for free, and a suite described declaratively (an
-:class:`~repro.api.spec.ExperimentSpec` of kind ``"suite"``) produces the
-exact same cells.  It is the "run everything everywhere" entry point the
-ROADMAP's scenario axis asks for.
+to a serial run) for free.  :class:`SuiteResult` is the ``raw`` of that
+kind.
 
 Infeasibility is data, not failure: a (scenario, protocol) pair whose game
 has no feasible point — or whose protocol model cannot even be constructed
@@ -19,16 +18,10 @@ bug and is re-raised.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.results import GameSolution
-from repro.exceptions import ConfigurationError
-from repro.protocols.registry import available_protocols, canonical_name
-from repro.runtime import BatchRunner, default_runner
-from repro.scenarios.presets import ScenarioPreset, scenario_preset
-
-#: A scenario argument: a registered preset name or an explicit preset.
-ScenarioLike = Union[str, ScenarioPreset]
+from repro.protocols.registry import canonical_name
 
 
 @dataclass(frozen=True)
@@ -127,9 +120,7 @@ def suite_cells_from_outcomes(outcomes: Sequence[object]) -> List[SuiteCell]:
     """Fold grid outcomes (:class:`repro.api.engine.GridOutcome`) into cells.
 
     Build failures and infeasible games become infeasible cells; the grid
-    layer has already re-raised anything else.  Shared by
-    :meth:`ScenarioSuite.run` and the declarative ``suite`` executor, which
-    is what keeps the two entry points cell-for-cell identical.
+    layer has already re-raised anything else.
     """
     cells: List[SuiteCell] = []
     for outcome in outcomes:
@@ -155,156 +146,3 @@ def suite_cells_from_outcomes(outcomes: Sequence[object]) -> List[SuiteCell]:
                 )
             )
     return cells
-
-
-class ScenarioSuite:
-    """Sweep the bargaining game across scenarios and protocols.
-
-    Args:
-        scenarios: Preset names and/or :class:`ScenarioPreset` instances;
-            defaults to every registered preset.
-        protocols: Protocol names; defaults to every registered protocol.
-        runner: Batch runner the (scenario × protocol) grid is pushed
-            through; defaults to the serial cached runner.  Pass
-            ``build_runner(workers=4)`` to fan the solves out over a
-            process pool — results stay bit-identical.
-        grid_points_per_dimension: Grid resolution of the hybrid solver.
-        energy_budget: Override the per-preset suggested energy budget.
-        max_delay: Override the per-preset suggested delay bound.
-
-    Example:
-        >>> from repro.scenarios import ScenarioSuite
-        >>> suite = ScenarioSuite(scenarios=("paper-default",), protocols=("xmac",))
-        >>> result = suite.run()
-        >>> result.cells[0].feasible
-        True
-    """
-
-    def __init__(
-        self,
-        scenarios: Optional[Iterable[ScenarioLike]] = None,
-        protocols: Optional[Sequence[str]] = None,
-        runner: Optional[BatchRunner] = None,
-        grid_points_per_dimension: int = 60,
-        energy_budget: Optional[float] = None,
-        max_delay: Optional[float] = None,
-        **solver_options: object,
-    ) -> None:
-        if scenarios is None:
-            from repro.scenarios.presets import scenario_presets
-
-            resolved: List[ScenarioPreset] = scenario_presets()
-        else:
-            resolved = [self._resolve(scenario) for scenario in scenarios]
-        if not resolved:
-            raise ConfigurationError("the scenario suite needs at least one scenario")
-        names = [preset.name for preset in resolved]
-        if len(set(names)) != len(names):
-            raise ConfigurationError(f"duplicate scenarios in suite: {names}")
-        self._presets = resolved
-        self._protocols = [
-            canonical_name(name) for name in (protocols or available_protocols())
-        ]
-        if not self._protocols:
-            raise ConfigurationError("the scenario suite needs at least one protocol")
-        self._runner = runner if runner is not None else default_runner()
-        self._solver_options: Dict[str, object] = dict(solver_options)
-        self._solver_options.setdefault(
-            "grid_points_per_dimension", grid_points_per_dimension
-        )
-        self._energy_budget = energy_budget
-        self._max_delay = max_delay
-
-    @staticmethod
-    def _resolve(scenario: ScenarioLike) -> ScenarioPreset:
-        if isinstance(scenario, ScenarioPreset):
-            return scenario
-        if isinstance(scenario, str):
-            return scenario_preset(scenario)
-        raise ConfigurationError(
-            f"scenario must be a preset name or a ScenarioPreset, "
-            f"got {type(scenario).__name__}"
-        )
-
-    # ------------------------------------------------------------------ #
-    # Accessors
-    # ------------------------------------------------------------------ #
-
-    @property
-    def presets(self) -> List[ScenarioPreset]:
-        """The resolved scenario presets, in suite order."""
-        return list(self._presets)
-
-    @property
-    def protocols(self) -> List[str]:
-        """The canonical protocol names, in suite order."""
-        return list(self._protocols)
-
-    @property
-    def pair_count(self) -> int:
-        """Number of (scenario, protocol) cells the suite will run."""
-        return len(self._presets) * len(self._protocols)
-
-    # ------------------------------------------------------------------ #
-    # Execution
-    # ------------------------------------------------------------------ #
-
-    def _requirements_for(self, preset: ScenarioPreset):
-        requirements = preset.requirements()
-        if self._energy_budget is not None:
-            requirements = requirements.with_energy_budget(self._energy_budget)
-        if self._max_delay is not None:
-            requirements = requirements.with_max_delay(self._max_delay)
-        return requirements
-
-    def run(self) -> SuiteResult:
-        """Solve every (scenario × protocol) game and collect the cells.
-
-        Returns:
-            A :class:`SuiteResult` with one cell per pair, in scenario-major
-            order.  Infeasible games and un-constructible models become
-            infeasible cells; any other error is re-raised.
-        """
-        # Imported here, not at module top: the api engine imports this
-        # module for the shared cell folding.
-        from repro.api.engine import build_grid_cell, solve_grid
-
-        cells = [
-            build_grid_cell(
-                scenario_label=preset.name,
-                protocol=protocol,
-                scenario=preset.scenario,
-                requirements=self._requirements_for(preset),
-                solver_options=self._solver_options,
-            )
-            for preset in self._presets
-            for protocol in self._protocols
-        ]
-        outcomes = solve_grid(cells, self._runner)
-        return SuiteResult(
-            cells=suite_cells_from_outcomes(outcomes),
-            runner_description=self._runner.describe(),
-        )
-
-
-def run_scenario_suite(
-    scenarios: Optional[Iterable[ScenarioLike]] = None,
-    protocols: Optional[Sequence[str]] = None,
-    runner: Optional[BatchRunner] = None,
-    **options: object,
-) -> SuiteResult:
-    """One-call convenience wrapper: build a :class:`ScenarioSuite` and run it.
-
-    Args:
-        scenarios: Preset names/instances (default: all registered).
-        protocols: Protocol names (default: all registered).
-        runner: Batch runner (default: serial + cache).
-        options: Forwarded to :class:`ScenarioSuite` (e.g.
-            ``grid_points_per_dimension=30``, ``max_delay=10.0``).
-
-    Returns:
-        The :class:`SuiteResult` of the run.
-    """
-    return ScenarioSuite(
-        scenarios=scenarios, protocols=protocols, runner=runner, **options
-    ).run()

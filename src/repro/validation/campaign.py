@@ -33,7 +33,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.exceptions import ConfigurationError, StoreError, ValidationError
 from repro.protocols.registry import canonical_name, protocol_class
-from repro.runtime import BatchRunner, default_runner
+from repro.runtime import BatchRunner, build_runner
 from repro.scenarios.presets import available_scenarios, scenario_preset
 from repro.simulation.mac.factory import available_mac_protocols, has_behaviour_for
 from repro.simulation.runner import SimulationConfig, simulate_protocol
@@ -715,7 +715,7 @@ def run_campaign(
     from repro.api.engine import build_grid_cell, solve_grid
 
     spec = spec if spec is not None else CampaignSpec()
-    runner = runner if runner is not None else default_runner()
+    runner = runner if runner is not None else build_runner()
     if store is None:
         store = getattr(runner.cache, "store", None)
 

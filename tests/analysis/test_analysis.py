@@ -8,92 +8,94 @@ import pytest
 
 from repro.analysis.reporting import format_table, solutions_to_rows, write_csv
 from repro.analysis.scalability import scalability_study
-from repro.analysis.sweep import SweepResult, sweep_delay_bound, sweep_energy_budget, sweep_grid
+from repro.analysis.sweep import SweepResult
 from repro.analysis.validation import validate_protocol, validate_protocols
+from repro.api import ExperimentSpec, plan, run
 from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import ConfigurationError
 from repro.protocols import XMACModel
-from repro.runtime import ThreadExecutor
+from repro.runtime import ProcessExecutor
 from repro.simulation import SimulationConfig
 
-FAST = {"grid_points_per_dimension": 40, "random_starts": 2}
+#: The conftest ``small_scenario`` as an inline spec scenario.
+SMALL_SCENARIO = {"depth": 4, "density": 6, "sampling_period": 600.0}
+
+
+def _sweep(parameter, values, protocols=("xmac",)):
+    """A sweep spec on the small scenario; returns the per-protocol raw."""
+    spec = (
+        ExperimentSpec.experiment("sweep")
+        .with_scenario(SMALL_SCENARIO)
+        .with_protocols(*protocols)
+        .with_requirements(energy_budget=0.06, max_delay=6.0)
+        .with_sweep(parameter, values)
+        .with_solver(grid_points=40, random_starts=2)
+    )
+    return run(spec).raw
 
 
 class TestSweeps:
-    def test_delay_sweep_produces_one_solution_per_feasible_value(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[1.0, 3.0], **FAST)
+    def test_delay_sweep_produces_one_solution_per_feasible_value(self):
+        result = _sweep("max_delay", [1.0, 3.0])["xmac"]
         assert result.swept_parameter == "max_delay"
         assert len(result.solutions) == 2
         assert not result.infeasible_values
 
-    def test_delay_sweep_flags_infeasible_values(self, xmac):
-        result = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=[0.001, 3.0], **FAST
-        )
+    def test_delay_sweep_flags_infeasible_values(self):
+        result = _sweep("max_delay", [0.001, 3.0])["xmac"]
         assert result.infeasible_values == [0.001]
         assert len(result.solutions) == 1
         assert result.feasible_values == [3.0]
 
-    def test_energy_sweep_produces_series_rows(self, xmac):
-        result = sweep_energy_budget(xmac, max_delay=6.0, energy_budgets=[0.01, 0.05], **FAST)
+    def test_energy_sweep_produces_series_rows(self):
+        result = _sweep("energy_budget", [0.01, 0.05])["xmac"]
         rows = result.series()
         assert len(rows) == 2
         assert rows[0]["protocol"] == "X-MAC"
         assert "E_star" in rows[0]
 
-    def test_relaxing_delay_bound_never_increases_best_energy(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[0.8, 2.0, 5.0], **FAST)
+    def test_relaxing_delay_bound_never_increases_best_energy(self):
+        result = _sweep("max_delay", [0.8, 2.0, 5.0])["xmac"]
         best = [s.energy_best for s in result.solutions]
         assert best[0] >= best[1] >= best[2]
 
-    def test_duplicate_swept_value_kept_per_index(self, xmac):
+    def test_duplicate_swept_value_kept_per_index(self):
         # A value swept twice must appear twice in the feasible list (and in
         # the series), not be collapsed or dropped by a membership test.
-        result = sweep_delay_bound(
-            xmac, energy_budget=0.06, delay_bounds=[3.0, 0.001, 3.0], **FAST
-        )
+        result = _sweep("max_delay", [3.0, 0.001, 3.0])["xmac"]
         assert result.feasibility == [True, False, True]
         assert result.feasible_values == [3.0, 3.0]
         assert len(result.series()) == 2
 
-    def test_legacy_feasible_values_drop_infeasible_once(self):
-        # Direct construction without per-index flags (legacy shape): an
-        # infeasible value listed once must only drop one occurrence.
+    def test_feasible_values_follow_per_index_flags(self):
+        # The same value can be feasible at one index and infeasible at
+        # another; only its infeasible occurrence is dropped.
         result = SweepResult(
             protocol="X-MAC",
             swept_parameter="max_delay",
             values=[2.0, 2.0, 3.0],
             infeasible_values=[2.0],
+            feasibility=[False, True, True],
         )
         assert result.feasible_values == [2.0, 3.0]
 
 
-class TestSweepGrid:
-    def test_grid_matches_individual_sweeps(self, xmac, dmac):
-        models = {"xmac": xmac, "dmac": dmac}
-        base = {
-            name: ApplicationRequirements(
-                energy_budget=0.06,
-                max_delay=6.0,
-                sampling_rate=model.scenario.sampling_rate,
-            )
-            for name, model in models.items()
-        }
-        grid = sweep_grid(models, "max_delay", [2.0, 5.0], base, **FAST)
+class TestMultiProtocolSweep:
+    def test_grid_matches_individual_sweeps(self):
+        grid = _sweep("max_delay", [2.0, 5.0], protocols=("xmac", "dmac"))
         assert set(grid) == {"xmac", "dmac"}
-        for name, model in models.items():
-            single = sweep_delay_bound(
-                model, energy_budget=0.06, delay_bounds=[2.0, 5.0], **FAST
-            )
-            assert grid[name].series() == single.series()
+        for name in ("xmac", "dmac"):
+            single = _sweep("max_delay", [2.0, 5.0], protocols=(name,))
+            assert grid[name].series() == single[name].series()
 
-    def test_grid_rejects_unknown_parameter(self, xmac):
-        with pytest.raises(ConfigurationError):
-            sweep_grid({"xmac": xmac}, "jitter", [1.0], {"xmac": None})
+    def test_grid_rejects_unknown_parameter(self):
+        with pytest.raises(ConfigurationError, match="sweep.parameter"):
+            ExperimentSpec.experiment("sweep").with_sweep("jitter", [1.0])
 
-    def test_grid_rejects_missing_requirements(self, xmac):
-        with pytest.raises(ConfigurationError):
-            sweep_grid({"xmac": xmac}, "max_delay", [1.0], {})
+    def test_grid_rejects_missing_axis(self):
+        spec = ExperimentSpec.experiment("sweep").with_protocols("xmac")
+        with pytest.raises(ConfigurationError, match="sweep axis"):
+            plan(spec)
 
 
 class TestReporting:
@@ -139,8 +141,8 @@ class TestReporting:
         with pytest.raises(ConfigurationError):
             write_csv([], tmp_path / "empty.csv")
 
-    def test_solutions_to_rows(self, xmac):
-        result = sweep_delay_bound(xmac, energy_budget=0.06, delay_bounds=[2.0], **FAST)
+    def test_solutions_to_rows(self):
+        result = _sweep("max_delay", [2.0])["xmac"]
         rows = solutions_to_rows(result.solutions, "Lmax[s]", [2.0])
         assert rows[0]["Lmax[s]"] == 2.0
         assert rows[0]["L_star[ms]"] > 0
@@ -174,8 +176,8 @@ class TestValidation:
         config = SimulationConfig(horizon=800.0, seed=3)
         jobs = [(model, {"wakeup_interval": 0.4}), (model, {"wakeup_interval": 0.6})]
         serial = validate_protocols(jobs, config)
-        threaded = validate_protocols(jobs, config, executor=ThreadExecutor(workers=2))
-        assert [r.as_dict() for r in serial] == [r.as_dict() for r in threaded]
+        pooled = validate_protocols(jobs, config, executor=ProcessExecutor(workers=2))
+        assert [r.as_dict() for r in serial] == [r.as_dict() for r in pooled]
         assert [r.parameters["wakeup_interval"] for r in serial] == [0.4, 0.6]
 
 

@@ -294,6 +294,86 @@ class TestExitCodeContract:
                 id="cache-as-a-string",
             ),
             pytest.param(
+                dict(GOOD_SOLVE, runtime={"mode": "gpu"}),
+                [],
+                EXIT_ERROR,
+                id="retired-mode-unknown-value",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, runtime={"mode": "thread", "chunk_size": 2}),
+                [],
+                EXIT_OK,
+                id="retired-mode-and-chunk-size-old-values",
+            ),
+            pytest.param(
+                {"kind": "campaign", "campaign": {"replications": "abc"}},
+                [],
+                EXIT_ERROR,
+                id="replications-not-a-number",
+            ),
+            pytest.param(
+                {"kind": "campaign", "campaign": {"replications": 2.9}},
+                [],
+                EXIT_ERROR,
+                id="fractional-replications",
+            ),
+            pytest.param(
+                {"kind": "campaign", "campaign": {"replications": True}},
+                [],
+                EXIT_ERROR,
+                id="replications-as-a-bool",
+            ),
+            pytest.param(
+                {"kind": "campaign", "campaign": {"horizon": "1e3"}},
+                [],
+                EXIT_ERROR,
+                id="horizon-as-a-string",
+            ),
+            pytest.param(
+                {"kind": "validate", "protocols": ["xmac"], "simulation": {"seed": 1.7}},
+                [],
+                EXIT_ERROR,
+                id="fractional-simulation-seed",
+            ),
+            pytest.param(
+                {"kind": "suite", "scenarios": "paper-default", "protocols": ["xmac"]},
+                [],
+                EXIT_ERROR,
+                id="scenarios-as-a-bare-string",
+            ),
+            pytest.param(
+                dict(
+                    GOOD_SOLVE,
+                    kind="sweep",
+                    sweep={"parameter": "max_delay", "values": "abc"},
+                ),
+                [],
+                EXIT_ERROR,
+                id="sweep-values-as-a-bare-string",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, requirements={"max_delay": float("nan")}),
+                [],
+                EXIT_ERROR,
+                id="nan-max-delay",
+            ),
+            pytest.param(
+                dict(GOOD_SOLVE, requirements={"energy_budget": float("inf")}),
+                [],
+                EXIT_ERROR,
+                id="infinite-energy-budget",
+            ),
+            pytest.param(
+                dict(
+                    GOOD_SOLVE,
+                    kind="sweep",
+                    sweep={"parameter": "max_delay", "values": [2.0, float("inf")]},
+                ),
+                [],
+                EXIT_ERROR,
+                id="infinite-sweep-value",
+            ),
+            pytest.param(
                 GOOD_SOLVE,
                 ["--store", "{tmp}/store", "--require-warm"],
                 EXIT_NOT_WARM,

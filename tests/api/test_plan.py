@@ -6,7 +6,7 @@ import pytest
 
 from repro.api import ExperimentSpec, plan
 from repro.exceptions import ConfigurationError
-from repro.scenarios import ScenarioSuite, available_scenarios
+from repro.scenarios import available_scenarios
 from repro.protocols.registry import available_protocols
 
 
@@ -31,17 +31,18 @@ class TestCounts:
             ("lmac", 4.0),
         ]
 
-    def test_suite_plan_matches_scenario_suite_pair_count(self):
+    def test_suite_plan_is_scenario_major_over_every_pair(self):
         spec = (
             ExperimentSpec.experiment("suite")
             .with_scenarios("paper-default", "high-rate", "bursty")
             .with_protocols("xmac", "lmac")
         )
-        suite = ScenarioSuite(
-            scenarios=("paper-default", "high-rate", "bursty"),
-            protocols=("xmac", "lmac"),
-        )
-        assert plan(spec).count == suite.pair_count
+        units = plan(spec).units
+        assert [(u.scenario, u.protocol) for u in units] == [
+            (scenario, protocol)
+            for scenario in ("paper-default", "high-rate", "bursty")
+            for protocol in ("xmac", "lmac")
+        ]
 
     def test_suite_plan_defaults_cover_everything(self):
         expected = len(available_scenarios()) * len(available_protocols())

@@ -1,8 +1,9 @@
-"""run(): equivalence with the legacy entry points + ResultSet behaviour.
+"""run(): equivalence with direct game solves + ResultSet behaviour.
 
 The acceptance bar of the declarative pipeline is *bit-identical numeric
-results* versus the entry points it wraps, at workers=1.  Every test here
-solves with small grids to stay fast.
+results* versus solving each game directly with
+:class:`~repro.core.tradeoff.EnergyDelayGame`, at workers=1.  Every test
+here solves with small grids to stay fast.
 """
 
 from __future__ import annotations
@@ -11,14 +12,13 @@ import json
 
 import pytest
 
-from repro.analysis.sweep import sweep_delay_bound
 from repro.api import ExperimentSpec, plan, run
+from repro.core.requirements import ApplicationRequirements
+from repro.core.tradeoff import EnergyDelayGame
 from repro.exceptions import ConfigurationError, InfeasibleProblemError
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
 from repro.protocols.registry import create_protocol, register_protocol, unregister_protocol
 from repro.protocols.xmac import XMACModel
 from repro.runtime import build_runner
-from repro.scenarios import ScenarioSuite
 from repro.scenarios.presets import scenario_preset
 from repro.validation import CampaignSpec, run_campaign
 
@@ -34,10 +34,26 @@ def fresh_runner():
     return build_runner(workers=1, use_cache=False)
 
 
+def direct_stars(model, requirements, parameter, values):
+    """``(E*, L*)`` of each swept game, solved directly without the pipeline."""
+    stars = []
+    for value in values:
+        swept = (
+            requirements.with_max_delay(value)
+            if parameter == "max_delay"
+            else requirements.with_energy_budget(value)
+        )
+        solution = EnergyDelayGame(model, swept, grid_points_per_dimension=GRID).solve()
+        stars.append((solution.energy_star, solution.delay_star))
+    return stars
+
+
+def series_stars(sweep):
+    return [(row["E_star"], row["L_star"]) for row in sweep.series()]
+
+
 class TestSolveKind:
     def test_solve_matches_direct_game(self, xmac, requirements):
-        from repro.core.tradeoff import EnergyDelayGame
-
         spec = (
             ExperimentSpec.experiment("solve")
             .with_scenario(SMALL)
@@ -88,7 +104,7 @@ class TestSolveKind:
 
 
 class TestSweepKind:
-    def test_sweep_matches_legacy_sweep(self, xmac):
+    def test_sweep_matches_direct_games(self, xmac, requirements):
         spec = (
             ExperimentSpec.experiment("sweep")
             .with_scenario(SMALL)
@@ -97,14 +113,9 @@ class TestSweepKind:
             .with_solver(grid_points=GRID)
         )
         result = run(spec, runner=fresh_runner())
-        legacy = sweep_delay_bound(
-            xmac,
-            energy_budget=0.06,
-            delay_bounds=[2.0, 4.0],
-            runner=fresh_runner(),
-            grid_points_per_dimension=GRID,
+        assert series_stars(result.raw["xmac"]) == direct_stars(
+            xmac, requirements, "max_delay", [2.0, 4.0]
         )
-        assert result.raw["xmac"].series() == legacy.series()
 
     def test_infeasible_values_are_rows_not_errors(self):
         spec = (
@@ -123,7 +134,16 @@ class TestSweepKind:
 
 
 class TestFigureKinds:
-    def test_figure1_matches_legacy_driver(self):
+    @staticmethod
+    def paper_game():
+        preset = scenario_preset("paper-default")
+        model = create_protocol("xmac", preset.scenario)
+        requirements = ApplicationRequirements(
+            energy_budget=0.06, max_delay=6.0, sampling_rate=preset.scenario.sampling_rate
+        )
+        return model, requirements
+
+    def test_figure1_matches_direct_games(self):
         spec = (
             ExperimentSpec.experiment("figure1")
             .with_protocols("xmac")
@@ -131,18 +151,13 @@ class TestFigureKinds:
             .with_solver(grid_points=GRID)
         )
         result = run(spec, runner=fresh_runner())
-        legacy = reproduce_figure1(
-            protocols=("xmac",),
-            delay_bounds=[2.0, 6.0],
-            grid_points_per_dimension=GRID,
-            runner=fresh_runner(),
+        model, requirements = self.paper_game()
+        assert series_stars(result.raw["xmac"]) == direct_stars(
+            model, requirements, "max_delay", [2.0, 6.0]
         )
-        assert result.raw["xmac"].series() == legacy["xmac"].series()
-        assert len(result.rows()) == len(figure1_rows(legacy))
+        assert len(result.rows()) == 2
 
-    def test_figure2_matches_legacy_driver(self):
-        from repro.experiments.figure2 import reproduce_figure2
-
+    def test_figure2_matches_direct_games(self):
         spec = (
             ExperimentSpec.experiment("figure2")
             .with_protocols("xmac")
@@ -150,13 +165,10 @@ class TestFigureKinds:
             .with_solver(grid_points=GRID)
         )
         result = run(spec, runner=fresh_runner())
-        legacy = reproduce_figure2(
-            protocols=("xmac",),
-            energy_budgets=[0.02, 0.06],
-            grid_points_per_dimension=GRID,
-            runner=fresh_runner(),
+        model, requirements = self.paper_game()
+        assert series_stars(result.raw["xmac"]) == direct_stars(
+            model, requirements, "energy_budget", [0.02, 0.06]
         )
-        assert result.raw["xmac"].series() == legacy["xmac"].series()
 
 
 class TestSuiteKind:
@@ -171,16 +183,20 @@ class TestSuiteKind:
             .with_solver(grid_points=GRID)
         )
 
-    def test_suite_matches_scenario_suite(self):
+    def test_suite_matches_direct_games(self):
         result = run(self.spec(), runner=fresh_runner())
-        legacy = ScenarioSuite(
-            scenarios=self.SCENARIOS,
-            protocols=self.PROTOCOLS,
-            runner=fresh_runner(),
-            grid_points_per_dimension=GRID,
-        ).run()
-        assert result.raw.rows() == legacy.rows()
-        assert result.rows() == legacy.rows()
+        assert result.rows() == result.raw.rows()
+        for cell in result.raw.cells:
+            preset = scenario_preset(cell.scenario)
+            direct = EnergyDelayGame(
+                create_protocol(cell.protocol, preset.scenario),
+                preset.requirements(),
+                grid_points_per_dimension=GRID,
+            ).solve()
+            assert (cell.solution.energy_star, cell.solution.delay_star) == (
+                direct.energy_star,
+                direct.delay_star,
+            )
 
     def test_filtered_suite_plan_runs_the_subset(self):
         sub = plan(self.spec()).select(protocol="xmac")

@@ -234,6 +234,46 @@ class TestRetiredSolverMethod:
             ExperimentSpec.experiment("solve").with_runtime(solver_method="adaptive")
 
 
+class TestRetiredExecutorKnobs:
+    """Specs written while the runtime had ``mode``/``chunk_size`` keep loading."""
+
+    @pytest.mark.parametrize("mode", ["auto", "serial", "thread", "process"])
+    @pytest.mark.parametrize("chunk_size", [None, 1, 7])
+    def test_old_values_are_read_and_dropped(self, mode, chunk_size):
+        old = ExperimentSpec.from_dict(
+            {
+                "kind": "solve",
+                "runtime": {"workers": 2, "cache": True, "mode": mode, "chunk_size": chunk_size},
+            }
+        )
+        new = ExperimentSpec.from_dict({"kind": "solve", "runtime": {"workers": 2}})
+        assert old == new
+        assert old.spec_hash() == new.spec_hash()
+        assert old.to_dict()["runtime"] == {"workers": 2, "cache": True}
+
+    @pytest.mark.parametrize(
+        "runtime, key",
+        [
+            ({"mode": "gpu"}, "runtime.mode"),
+            ({"mode": None}, "runtime.mode"),
+            ({"chunk_size": -3}, "runtime.chunk_size"),
+            ({"chunk_size": 0}, "runtime.chunk_size"),
+            ({"chunk_size": "4"}, "runtime.chunk_size"),
+            ({"chunk_size": 2.5}, "runtime.chunk_size"),
+            ({"chunk_size": True}, "runtime.chunk_size"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_other_values_are_rejected(self, runtime, key):
+        with pytest.raises(ConfigurationError, match=key):
+            ExperimentSpec.from_dict({"kind": "solve", "runtime": runtime})
+
+    @pytest.mark.parametrize("knob", [{"mode": "process"}, {"chunk_size": 4}])
+    def test_runtime_policy_has_no_executor_fields(self, knob):
+        with pytest.raises(TypeError):
+            ExperimentSpec.experiment("solve").with_runtime(**knob)
+
+
 class TestMalformedFields:
     """Malformed runtime/solver values fail at parse time, on every path."""
 
@@ -247,9 +287,6 @@ class TestMalformedFields:
             ("runtime", {"workers": -1}, "workers must be >= 0"),
             ("runtime", {"workers": 1.5}, "runtime.workers"),
             ("runtime", {"workers": True}, "runtime.workers"),
-            ("runtime", {"chunk_size": -3}, "runtime.chunk_size"),
-            ("runtime", {"chunk_size": 0}, "runtime.chunk_size"),
-            ("runtime", {"chunk_size": "4"}, "runtime.chunk_size"),
             ("runtime", {"cache": "false"}, "runtime.cache"),
             ("runtime", {"cache": 0}, "runtime.cache"),
         ],
@@ -267,14 +304,107 @@ class TestMalformedFields:
             {
                 "kind": "solve",
                 "solver": {"grid_points": 2},
-                "runtime": {"workers": 0, "cache": False, "chunk_size": 1},
+                "runtime": {"workers": 0, "cache": False},
             }
         )
-        assert spec.runtime.chunk_size == 1 and spec.runtime.cache is False
+        assert spec.runtime.workers == 0 and spec.runtime.cache is False
 
     def test_non_mapping_section_is_rejected(self):
         with pytest.raises(ConfigurationError, match="solver must be a mapping"):
             ExperimentSpec.from_dict({"kind": "solve", "solver": [20]})
+
+
+class TestMalformedSimulationAndCampaign:
+    """The ``simulation``/``campaign`` sections are validated at parse time."""
+
+    @pytest.mark.parametrize(
+        "section, payload, match",
+        [
+            ("campaign", {"replications": "abc"}, "campaign.replications"),
+            ("campaign", {"replications": 2.9}, "campaign.replications"),
+            ("campaign", {"replications": True}, "campaign.replications"),
+            ("campaign", {"replications": 0}, "campaign.replications"),
+            ("campaign", {"base_seed": 1.5}, "campaign.base_seed"),
+            ("campaign", {"base_seed": -1}, "campaign.base_seed"),
+            ("campaign", {"horizon": "1e3"}, "campaign.horizon"),
+            ("campaign", {"confidence": "high"}, "campaign.confidence"),
+            ("campaign", {"energy_tolerance": None}, "campaign.energy_tolerance"),
+            ("campaign", {"delay_tolerance": -0.5}, "campaign.delay_tolerance"),
+            ("campaign", {"min_delivery_ratio": "0.9"}, "campaign.min_delivery_ratio"),
+            ("simulation", {"seed": 1.7}, "simulation.seed"),
+            ("simulation", {"seed": "1"}, "simulation.seed"),
+            ("simulation", {"horizon": "1e3"}, "simulation.horizon"),
+            ("simulation", {"parameters": "wakeup_interval=0.4"}, "simulation.parameters"),
+            ("simulation", {"parameters": {"wakeup_interval": "0.4"}}, "wakeup_interval"),
+        ],
+        ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
+    )
+    def test_from_dict_and_builders_reject(self, section, payload, match):
+        kind = "campaign" if section == "campaign" else "validate"
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentSpec.from_dict({"kind": kind, section: payload})
+        builder = "with_campaign" if section == "campaign" else "with_simulation"
+        with pytest.raises(ConfigurationError, match=match):
+            getattr(ExperimentSpec.experiment(kind), builder)(**payload)
+
+    def test_integral_json_numbers_load_as_floats(self):
+        # ``"horizon": 1500`` and ``1500.0`` are one spec, with one hash.
+        ints = ExperimentSpec.from_dict(
+            {"kind": "campaign", "campaign": {"horizon": 1500, "confidence": 0.95}}
+        )
+        floats = ExperimentSpec.from_dict({"kind": "campaign", "campaign": {"horizon": 1500.0}})
+        assert ints.campaign.horizon == 1500.0 and isinstance(ints.campaign.horizon, float)
+        assert ints.spec_hash() == floats.spec_hash()
+
+
+class TestBareStringsForLists:
+    """A bare string is not split into characters where a list is expected."""
+
+    @pytest.mark.parametrize(
+        "payload, match",
+        [
+            ({"kind": "suite", "scenarios": "paper-default"}, "scenarios must be a list"),
+            ({"kind": "solve", "protocols": "xmac"}, "protocols must be a list"),
+            ({"kind": "suite", "scenarios": 3}, "scenarios must be a list"),
+            (
+                {"kind": "sweep", "sweep": {"parameter": "max_delay", "values": "abc"}},
+                "sweep.values must be a list",
+            ),
+            (
+                {"kind": "sweep", "sweep": {"parameter": "max_delay", "values": 3.0}},
+                "sweep.values must be a list",
+            ),
+        ],
+    )
+    def test_rejected_naming_the_key(self, payload, match):
+        with pytest.raises(ConfigurationError, match=match):
+            ExperimentSpec.from_dict(payload)
+
+
+class TestNonFiniteRequirements:
+    """JSON parses ``NaN``/``Infinity``; as requirements they are bogus data."""
+
+    @pytest.mark.parametrize("name", ["max_delay", "energy_budget"])
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_requirements_from_json(self, name, text):
+        document = '{"kind": "solve", "requirements": {"%s": %s}}' % (name, text)
+        with pytest.raises(ConfigurationError, match=f"requirements.{name} must be finite"):
+            ExperimentSpec.from_json(document)
+
+    @pytest.mark.parametrize("text", ["NaN", "Infinity"])
+    def test_sweep_values_from_json(self, text):
+        document = (
+            '{"kind": "sweep", "sweep": {"parameter": "max_delay", "values": [2.0, %s]}}'
+            % text
+        )
+        with pytest.raises(ConfigurationError, match=r"sweep.values\[\] must be finite"):
+            ExperimentSpec.from_json(document)
+
+    def test_fluent_builders(self):
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentSpec.experiment("solve").with_requirements(max_delay=float("nan"))
+        with pytest.raises(ConfigurationError, match="finite"):
+            ExperimentSpec.experiment("sweep").with_sweep("energy_budget", [float("inf")])
 
 
 class TestNonFiniteHorizons:

@@ -1,9 +1,10 @@
-"""Tests for the figure reproduction drivers (reduced grids for speed)."""
+"""Tests for the ``figure1``/``figure2`` spec kinds (reduced grids for speed)."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec, plan, run
 from repro.experiments.config import (
     FIGURE_DELAY_BOUNDS,
     FIGURE_ENERGY_BUDGETS,
@@ -11,25 +12,44 @@ from repro.experiments.config import (
     FIGURE_MAX_DELAY_FIXED,
     figure_scenario,
 )
-from repro.experiments.figure1 import figure1_rows, reproduce_figure1
-from repro.experiments.figure2 import figure2_rows, reproduce_figure2
+from repro.scenarios import scenario_preset
 
 #: Reduced settings so the experiment tests stay fast; the benches run the
 #: full grids.
-FAST = {"grid_points_per_dimension": 30}
+GRID_POINTS = 30
 PROTOCOLS = ("xmac", "dmac")
 DELAYS = (1.0, 3.0, 6.0)
 BUDGETS = (0.01, 0.03, 0.06)
 
 
-@pytest.fixture(scope="module")
-def figure1_results():
-    return reproduce_figure1(protocols=PROTOCOLS, delay_bounds=DELAYS, **FAST)
+def _figure(kind, parameter, values):
+    spec = (
+        ExperimentSpec.experiment(kind)
+        .with_protocols(*PROTOCOLS)
+        .with_sweep(parameter, values)
+        .with_solver(grid_points=GRID_POINTS)
+    )
+    return run(spec)
 
 
 @pytest.fixture(scope="module")
-def figure2_results():
-    return reproduce_figure2(protocols=PROTOCOLS, energy_budgets=BUDGETS, **FAST)
+def figure1_run():
+    return _figure("figure1", "max_delay", DELAYS)
+
+
+@pytest.fixture(scope="module")
+def figure2_run():
+    return _figure("figure2", "energy_budget", BUDGETS)
+
+
+@pytest.fixture(scope="module")
+def figure1_results(figure1_run):
+    return figure1_run.raw
+
+
+@pytest.fixture(scope="module")
+def figure2_results(figure2_run):
+    return figure2_run.raw
 
 
 class TestFigureConfig:
@@ -44,6 +64,17 @@ class TestFigureConfig:
         assert scenario.depth == 5
         assert scenario.density == 8
         assert scenario.sampling_period == 3600.0
+
+    def test_figure_specs_default_to_the_paper_setup(self):
+        # The figure kinds run the paper's scenario, protocols and grids.
+        assert scenario_preset("paper-default").scenario == figure_scenario()
+        figure1 = plan(ExperimentSpec.experiment("figure1")).rows()
+        assert {row["protocol"] for row in figure1} == {"xmac", "dmac", "lmac"}
+        assert sorted({row["value"] for row in figure1}) == list(FIGURE_DELAY_BOUNDS)
+        assert {row["energy_budget"] for row in figure1} == {FIGURE_ENERGY_BUDGET_FIXED}
+        figure2 = plan(ExperimentSpec.experiment("figure2")).rows()
+        assert sorted({row["value"] for row in figure2}) == list(FIGURE_ENERGY_BUDGETS)
+        assert {row["max_delay"] for row in figure2} == {FIGURE_MAX_DELAY_FIXED}
 
 
 class TestFigure1:
@@ -63,10 +94,11 @@ class TestFigure1:
             for bound, solution in zip(DELAYS, sweep.solutions):
                 assert solution.delay_star <= bound * 1.001
 
-    def test_rows_are_flat_and_complete(self, figure1_results):
-        rows = figure1_rows(figure1_results)
+    def test_rows_are_flat_and_complete(self, figure1_run):
+        rows = figure1_run.rows()
         assert len(rows) == len(PROTOCOLS) * len(DELAYS)
-        assert {"E_best", "E_worst", "E_star", "L_star"} <= set(rows[0])
+        assert {"max_delay", "E_best", "E_worst", "E_star", "L_star"} <= set(rows[0])
+        assert all(row["feasible"] for row in rows)
 
 
 class TestFigure2:
@@ -85,7 +117,7 @@ class TestFigure2:
             for budget, solution in zip(BUDGETS, sweep.solutions):
                 assert solution.energy_star <= budget * 1.001
 
-    def test_rows_are_flat_and_complete(self, figure2_results):
-        rows = figure2_rows(figure2_results)
+    def test_rows_are_flat_and_complete(self, figure2_run):
+        rows = figure2_run.rows()
         assert len(rows) == len(PROTOCOLS) * len(BUDGETS)
         assert "energy_budget" in rows[0]

@@ -8,11 +8,10 @@ from repro.core.requirements import ApplicationRequirements
 from repro.exceptions import ConfigurationError
 from repro.runtime import (
     BatchRunner,
+    ProcessExecutor,
     SolveCache,
     SolveTask,
-    ThreadExecutor,
     build_runner,
-    default_runner,
 )
 
 FAST = {"grid_points_per_dimension": 15, "random_starts": 1}
@@ -43,11 +42,13 @@ class TestRun:
         assert all(outcome.solve_seconds > 0 for outcome in outcomes)
 
     def test_infeasible_value_does_not_poison_its_chunk(self, xmac):
-        # One chunk holds all three tasks; the infeasible middle value must
-        # be captured while its neighbours still solve.
-        runner = BatchRunner(cache=None, chunk_size=3)
-        outcomes = runner.run(_tasks(xmac, [3.0, 1e-4, 4.0]))
-        assert [outcome.ok for outcome in outcomes] == [True, False, True]
+        # Five serial tasks auto-size to chunks of two, so the infeasible
+        # second value shares its chunk with the first; it must be captured
+        # while its neighbours still solve.
+        runner = BatchRunner(cache=None)
+        assert [len(c) for c in runner._chunks([(i, None, None, {}) for i in range(5)])] == [2, 2, 1]
+        outcomes = runner.run(_tasks(xmac, [3.0, 1e-4, 4.0, 5.0, 6.0]))
+        assert [outcome.ok for outcome in outcomes] == [True, False, True, True, True]
         assert outcomes[1].infeasible
         assert outcomes[1].solution is None
         assert isinstance(outcomes[1].error, Exception)
@@ -59,16 +60,24 @@ class TestRun:
         outcome = BatchRunner(cache=None).run_one(_tasks(xmac, [3.0])[0])
         assert outcome.ok and outcome.label == "X-MAC"
 
-    def test_invalid_chunk_size_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(chunk_size=0)
+    def test_chunks_are_auto_sized_per_worker(self):
+        # ~4 chunks per worker, covering every payload once, in order.
+        payloads = [(i, None, None, {}) for i in range(10)]
+        serial = BatchRunner(cache=None)._chunks(payloads)
+        pooled = BatchRunner(executor=ProcessExecutor(workers=2), cache=None)._chunks(payloads)
+        assert [len(chunk) for chunk in serial] == [3, 3, 3, 1]
+        assert [len(chunk) for chunk in pooled] == [2, 2, 2, 2, 2]
+        assert [p[0] for chunk in pooled for p in chunk] == list(range(10))
 
 
 class TestProgress:
     def test_progress_reaches_total(self, xmac):
+        # Three tasks on one worker auto-size to one task per chunk, so
+        # progress is reported after every solve.
         calls = []
-        runner = BatchRunner(cache=None, chunk_size=1, progress=lambda d, t: calls.append((d, t)))
+        runner = BatchRunner(cache=None, progress=lambda d, t: calls.append((d, t)))
         runner.run(_tasks(xmac, [2.0, 3.0, 4.0]))
+        assert len(calls) == 4
         assert calls[0] == (0, 3)
         assert calls[-1] == (3, 3)
         done = [d for d, _ in calls]
@@ -109,7 +118,8 @@ class TestCaching:
         runner.run(tasks)
         second = runner.run(tasks)[0]
         assert not second.from_cache
-        assert runner.cache_stats().lookups == 0
+        stats = runner.cache_stats()
+        assert (stats.hits, stats.misses) == (0, 0)
 
     def test_in_batch_duplicates_solved_once(self, xmac):
         cache = SolveCache()
@@ -134,7 +144,7 @@ class TestCaching:
         cache = SolveCache()
         tasks = _tasks(xmac, [2.0, 3.0, 4.0])
         BatchRunner(cache=cache).run(tasks)
-        parallel = BatchRunner(executor=ThreadExecutor(workers=2), cache=cache)
+        parallel = BatchRunner(executor=ProcessExecutor(workers=2), cache=cache)
         outcomes = parallel.run(tasks)
         assert all(outcome.from_cache for outcome in outcomes)
 
@@ -159,11 +169,13 @@ class TestBuildRunner:
     def test_no_cache_beats_explicit_cache(self):
         assert build_runner(use_cache=False, cache=SolveCache()).cache is None
 
-    def test_bad_mode_rejected(self):
+    def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
-            build_runner(workers=2, mode="quantum")
+            build_runner(workers=-1)
 
-    def test_default_runner_uses_global_cache(self):
+    def test_build_runner_defaults_to_global_cache(self):
         from repro.runtime import default_cache
 
-        assert default_runner().cache is default_cache()
+        runner = build_runner()
+        assert runner.cache is default_cache()
+        assert runner.describe() == "serial[1]+cache"

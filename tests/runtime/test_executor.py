@@ -7,13 +7,7 @@ import time
 import pytest
 
 from repro.exceptions import ConfigurationError
-from repro.runtime.executor import (
-    EXECUTOR_MODES,
-    ProcessExecutor,
-    SerialExecutor,
-    ThreadExecutor,
-    resolve_executor,
-)
+from repro.runtime.executor import ProcessExecutor, SerialExecutor, resolve_executor
 
 
 def _square(value):
@@ -32,7 +26,6 @@ def _boom(value):
 
 ALL_POLICIES = [
     SerialExecutor(),
-    ThreadExecutor(workers=4),
     ProcessExecutor(workers=2),
 ]
 
@@ -64,35 +57,32 @@ class TestPolicies:
         assert SerialExecutor().describe() == "serial[1]"
 
     def test_pool_worker_counts(self):
-        assert ThreadExecutor(workers=3).workers == 3
+        assert ProcessExecutor(workers=3).workers == 3
         assert ProcessExecutor(workers=2).describe() == "process[2]"
 
     def test_default_workers_use_cpu_count(self):
-        assert ThreadExecutor().workers >= 1
+        assert ProcessExecutor().workers >= 1
         assert ProcessExecutor(workers=0).workers >= 1
 
 
 class TestResolveExecutor:
-    def test_auto_one_worker_is_serial(self):
+    def test_no_workers_or_one_worker_is_serial(self):
+        assert isinstance(resolve_executor(), SerialExecutor)
         assert isinstance(resolve_executor(1), SerialExecutor)
 
-    def test_auto_many_workers_is_process(self):
+    def test_many_workers_is_process(self):
         executor = resolve_executor(4)
         assert isinstance(executor, ProcessExecutor)
         assert executor.workers == 4
 
-    def test_explicit_modes(self):
-        assert isinstance(resolve_executor(2, "serial"), SerialExecutor)
-        assert isinstance(resolve_executor(2, "thread"), ThreadExecutor)
-        assert isinstance(resolve_executor(2, "process"), ProcessExecutor)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ConfigurationError):
-            resolve_executor(2, "gpu")
+    def test_zero_workers_is_one_per_cpu(self, monkeypatch):
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        executor = resolve_executor(0)
+        assert isinstance(executor, ProcessExecutor)
+        assert executor.workers == 3
+        monkeypatch.setattr("os.cpu_count", lambda: 1)
+        assert isinstance(resolve_executor(0), SerialExecutor)
 
     def test_negative_workers_rejected(self):
         with pytest.raises(ConfigurationError):
             resolve_executor(-1)
-
-    def test_modes_constant_is_exhaustive(self):
-        assert set(EXECUTOR_MODES) == {"auto", "serial", "thread", "process"}

@@ -1,17 +1,19 @@
-"""ScenarioSuite: (scenario × protocol) batches through the runtime layer."""
+"""Suite specs: (scenario × protocol) batches through the runtime layer."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import ExperimentSpec, plan, run
 from repro.exceptions import ConfigurationError
+from repro.protocols.registry import available_protocols
 from repro.runtime import SolveCache, build_runner
 from repro.scenario import Scenario
 from repro.scenarios import (
     ScenarioPreset,
-    ScenarioSuite,
-    run_scenario_suite,
-    scenario_preset,
+    available_scenarios,
+    register_scenario_preset,
+    unregister_scenario_preset,
 )
 
 #: Coarse solver grid: the suite tests exercise plumbing, not precision.
@@ -31,47 +33,72 @@ def _tiny_preset(name: str = "tiny", **overrides) -> ScenarioPreset:
     return ScenarioPreset(**defaults)
 
 
-class TestConstruction:
-    def test_defaults_cover_all_pairs(self):
-        suite = ScenarioSuite()
-        assert suite.pair_count == len(suite.presets) * len(suite.protocols)
-        assert len(suite.presets) >= 6
-        assert "xmac" in suite.protocols
+@pytest.fixture
+def register():
+    """Register custom presets for one test, unregistering them afterwards."""
+    names = []
 
-    def test_accepts_names_and_instances(self):
-        suite = ScenarioSuite(
-            scenarios=["paper-default", _tiny_preset()], protocols=("xmac",)
-        )
-        assert [preset.name for preset in suite.presets] == ["paper-default", "tiny"]
+    def _register(preset: ScenarioPreset) -> str:
+        register_scenario_preset(preset)
+        names.append(preset.name)
+        return preset.name
+
+    yield _register
+    for name in names:
+        unregister_scenario_preset(name)
+
+
+def _suite(*scenarios: str, protocols=("xmac",), grid_points: int = GRID) -> ExperimentSpec:
+    return (
+        ExperimentSpec.experiment("suite")
+        .with_scenarios(*scenarios)
+        .with_protocols(*protocols)
+        .with_solver(grid_points=grid_points)
+    )
+
+
+class TestPlanning:
+    def test_defaults_cover_all_pairs(self):
+        units = plan(ExperimentSpec.experiment("suite")).units
+        assert len(units) == len(available_scenarios()) * len(available_protocols())
+        assert len(available_scenarios()) >= 6
+        assert "xmac" in {unit.protocol for unit in units}
+
+    def test_accepts_registered_custom_presets(self, register):
+        register(_tiny_preset())
+        units = plan(_suite("paper-default", "tiny")).units
+        assert [unit.scenario for unit in units] == ["paper-default", "tiny"]
 
     def test_protocol_aliases_canonicalized(self):
-        suite = ScenarioSuite(scenarios=("paper-default",), protocols=("X-MAC",))
-        assert suite.protocols == ["xmac"]
+        units = plan(_suite("paper-default", protocols=("X-MAC",))).units
+        assert [unit.protocol for unit in units] == ["xmac"]
 
-    def test_rejects_empty_scenarios(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSuite(scenarios=())
+    def test_empty_scenarios_mean_every_preset(self):
+        units = plan(ExperimentSpec.experiment("suite").with_protocols("xmac")).units
+        assert [unit.scenario for unit in units] == available_scenarios()
 
     def test_rejects_duplicate_scenarios(self):
         with pytest.raises(ConfigurationError, match="duplicate"):
-            ScenarioSuite(scenarios=("paper-default", "paper-default"))
+            plan(_suite("paper-default", "paper-default"))
 
     def test_rejects_unknown_scenario(self):
         with pytest.raises(ConfigurationError, match="known presets"):
-            ScenarioSuite(scenarios=("no-such-scenario",))
+            plan(_suite("no-such-scenario"))
 
-    def test_rejects_non_scenario_objects(self):
-        with pytest.raises(ConfigurationError):
-            ScenarioSuite(scenarios=(42,))  # type: ignore[arg-type]
+    def test_rejects_a_bare_string_for_the_scenario_list(self):
+        with pytest.raises(ConfigurationError, match="scenarios must be a list"):
+            ExperimentSpec.from_dict({"kind": "suite", "scenarios": "paper-default"})
+
+    def test_duplicate_preset_registration_rejected(self, register):
+        register(_tiny_preset())
+        with pytest.raises(ConfigurationError, match="already registered"):
+            register_scenario_preset(_tiny_preset())
 
 
 class TestRun:
-    def test_runs_all_pairs_and_reports_cells(self):
-        result = run_scenario_suite(
-            scenarios=(_tiny_preset(),),
-            protocols=("xmac", "dmac"),
-            grid_points_per_dimension=GRID,
-        )
+    def test_runs_all_pairs_and_reports_cells(self, register):
+        register(_tiny_preset())
+        result = run(_suite("tiny", protocols=("xmac", "dmac"))).raw
         assert [(cell.scenario, cell.protocol) for cell in result.cells] == [
             ("tiny", "xmac"),
             ("tiny", "dmac"),
@@ -82,31 +109,27 @@ class TestRun:
         rows = result.rows()
         assert len(rows) == 2 and rows[0]["feasible"] is True
 
-    def test_mixed_feasible_infeasible_rows_share_columns_and_render(self):
+    def test_mixed_feasible_infeasible_rows_share_columns_and_render(self, register):
         """Feasible and infeasible cells must produce printable uniform rows."""
         from repro.analysis.reporting import format_table
 
-        result = run_scenario_suite(
-            scenarios=(_tiny_preset(name="impossible", max_delay=1e-6), _tiny_preset()),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-        )
+        register(_tiny_preset(name="impossible", max_delay=1e-6))
+        register(_tiny_preset())
+        result_set = run(_suite("impossible", "tiny"))
+        result = result_set.raw
         rows = result.rows()
         assert len(result.feasible_cells) == 1 and len(result.infeasible_cells) == 1
+        assert [record.ok for record in result_set.records] == [False, True]
         columns = list(rows[0])
         assert all(list(row) == columns for row in rows)
         rendered = format_table(rows)  # must not raise on the mixed batch
         assert "impossible" in rendered and "tiny" in rendered
 
-    def test_infeasible_scenario_does_not_poison_the_batch(self):
+    def test_infeasible_scenario_does_not_poison_the_batch(self, register):
         """An impossible delay bound in one scenario leaves the others intact."""
-        impossible = _tiny_preset(name="impossible", max_delay=1e-6)
-        feasible = _tiny_preset(name="feasible")
-        result = run_scenario_suite(
-            scenarios=(impossible, feasible),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-        )
+        register(_tiny_preset(name="impossible", max_delay=1e-6))
+        register(_tiny_preset(name="feasible"))
+        result = run(_suite("impossible", "feasible")).raw
         by_scenario = result.by_scenario()
         assert not by_scenario["impossible"][0].feasible
         assert "delay" in by_scenario["impossible"][0].error
@@ -114,77 +137,57 @@ class TestRun:
         assert len(result.infeasible_cells) == 1
         assert len(result.feasible_cells) == 1
 
-    def test_unconstructible_model_recorded_as_infeasible_cell(self):
+    def test_unconstructible_model_recorded_as_infeasible_cell(self, register):
         """A scenario that empties a protocol's parameter space is data too."""
         # Density 1100 pushes LMAC's minimum slot count past the 10 s drift
         # bound: the maximum slot falls below the minimum slot and the
         # parameter space is empty, so the model cannot be used at all.
-        broken = _tiny_preset(
-            name="lmac-hostile",
-            scenario=Scenario(sampling_rate=1.0 / 600.0).with_topology(density=1100),
+        register(
+            _tiny_preset(
+                name="lmac-hostile",
+                scenario=Scenario(sampling_rate=1.0 / 600.0).with_topology(density=1100),
+            )
         )
-        result = run_scenario_suite(
-            scenarios=(broken,),
-            protocols=("xmac", "lmac"),
-            grid_points_per_dimension=GRID,
-        )
+        result = run(_suite("lmac-hostile", protocols=("xmac", "lmac"))).raw
         cells = {cell.protocol: cell for cell in result.cells}
         assert cells["xmac"].feasible
         assert not cells["lmac"].feasible
         assert "model construction failed" in cells["lmac"].error
 
-    def test_requirement_overrides_apply_to_every_preset(self):
+    def test_requirement_overrides_apply_to_every_preset(self, register):
         preset = _tiny_preset()
-        result = run_scenario_suite(
-            scenarios=(preset,),
-            protocols=("xmac",),
-            grid_points_per_dimension=GRID,
-            max_delay=2.0,
-        )
+        register(preset)
+        result = run(_suite("tiny").with_requirements(max_delay=2.0)).raw
         solution = result.cells[0].solution
         assert solution.max_delay == 2.0
         assert solution.energy_budget == preset.energy_budget
 
     def test_process_pool_run_is_bit_identical_to_serial(self):
-        scenarios = ("paper-default", "bursty")
-        protocols = ("xmac", "dmac")
-        serial = run_scenario_suite(
-            scenarios=scenarios,
-            protocols=protocols,
-            runner=build_runner(workers=1, use_cache=False),
-            grid_points_per_dimension=GRID,
-        )
-        parallel = run_scenario_suite(
-            scenarios=scenarios,
-            protocols=protocols,
-            runner=build_runner(workers=2, use_cache=False),
-            grid_points_per_dimension=GRID,
-        )
-        assert serial.rows() == parallel.rows()
+        spec = _suite("paper-default", "bursty", protocols=("xmac", "dmac"))
+        serial = run(spec, runner=build_runner(workers=1, use_cache=False))
+        parallel = run(spec, runner=build_runner(workers=2, use_cache=False))
+        assert serial.raw.rows() == parallel.raw.rows()
+        assert serial.json_text() == parallel.json_text()
 
     def test_suite_reuses_the_solve_cache(self):
         cache = SolveCache()
-        kwargs = {
-            "scenarios": ("paper-default",),
-            "protocols": ("xmac",),
-            "grid_points_per_dimension": GRID,
-        }
-        cold = run_scenario_suite(runner=build_runner(workers=1, cache=cache), **kwargs)
+        spec = _suite("paper-default")
+        cold = run(spec, runner=build_runner(workers=1, cache=cache)).raw
         warm_runner = build_runner(workers=1, cache=cache)
-        warm = run_scenario_suite(runner=warm_runner, **kwargs)
+        warm = run(spec, runner=warm_runner).raw
         assert warm.cells[0].from_cache
         assert warm_runner.cache_stats().hits == 1
         assert cold.rows() == warm.rows()
 
     def test_suggested_requirements_feasible_for_paper_protocols(self):
         """Every built-in preset solves for the paper's three protocols."""
-        result = run_scenario_suite(
-            protocols=("xmac", "dmac", "lmac"),
-            grid_points_per_dimension=20,
+        spec = ExperimentSpec.experiment("suite").with_protocols("xmac", "dmac", "lmac")
+        result = run(
+            spec.with_solver(grid_points=20),
             runner=build_runner(workers=0, use_cache=False),
-        )
+        ).raw
         infeasible = [
             f"{cell.scenario}/{cell.protocol}" for cell in result.infeasible_cells
         ]
         assert not infeasible, f"infeasible pairs: {infeasible}"
-        assert len(result.cells) == len(ScenarioSuite().presets) * 3
+        assert len(result.cells) == len(available_scenarios()) * 3

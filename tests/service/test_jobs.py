@@ -276,3 +276,47 @@ class TestRetiredSolverMethodReplay:
         self._rewrite_submit(tmp_path / "jobs.jsonl", {"method": "magic"}, {})
         with pytest.raises(JobError, match="unreplayable submit on journal line 1"):
             JobQueue(tmp_path)
+
+
+class TestRetiredExecutorKnobsReplay:
+    """Journals written while the runtime had ``mode``/``chunk_size`` replay."""
+
+    @staticmethod
+    def _rewrite_runtime(journal, runtime_extra):
+        lines = []
+        for line in journal.read_text().splitlines():
+            event = json.loads(line)
+            if event["event"] == "submit":
+                event["spec"]["runtime"].update(runtime_extra)
+            lines.append(json.dumps(event))
+        journal.write_text("\n".join(lines) + "\n")
+
+    @pytest.mark.parametrize(
+        "runtime_extra",
+        [
+            # What every submit line carried by default back then.
+            {"mode": "auto", "chunk_size": None},
+            {"mode": "process", "chunk_size": 3},
+        ],
+        ids=["default", "process-chunked"],
+    )
+    def test_old_journal_line_replays(self, tmp_path, runtime_extra):
+        queue = JobQueue(tmp_path)
+        job, _ = queue.submit(spec_of())
+        queue.close()
+        self._rewrite_runtime(tmp_path / "jobs.jsonl", runtime_extra)
+
+        reopened = JobQueue(tmp_path)
+        replayed = reopened.get(job.job_id)
+        assert replayed.state == "queued"
+        assert replayed.spec == spec_of()
+        assert replayed.spec.spec_hash() == spec_of().spec_hash()
+
+    @pytest.mark.parametrize("runtime_extra", [{"mode": "gpu"}, {"chunk_size": 0}])
+    def test_unknown_value_in_journal_is_unreplayable(self, tmp_path, runtime_extra):
+        queue = JobQueue(tmp_path)
+        queue.submit(spec_of())
+        queue.close()
+        self._rewrite_runtime(tmp_path / "jobs.jsonl", runtime_extra)
+        with pytest.raises(JobError, match="unreplayable submit on journal line 1"):
+            JobQueue(tmp_path)

@@ -204,6 +204,14 @@ class TestErrorStatuses:
             ("runtime", {"workers": "x"}, "runtime.workers"),
             ("runtime", {"chunk_size": -3}, "runtime.chunk_size"),
             ("runtime", {"cache": "false"}, "runtime.cache"),
+            ("runtime", {"mode": "gpu"}, "runtime.mode"),
+            ("campaign", {"replications": "abc"}, "campaign.replications"),
+            ("campaign", {"replications": 2.9}, "campaign.replications"),
+            ("simulation", {"seed": 1.7}, "simulation.seed"),
+            ("requirements", {"max_delay": float("nan")}, "requirements.max_delay"),
+            ("requirements", {"energy_budget": float("inf")}, "requirements.energy_budget"),
+            ("sweep", {"parameter": "max_delay", "values": "abc"}, "sweep.values"),
+            ("scenarios", "paper-default", "scenarios must be a list"),
         ],
         ids=lambda value: json.dumps(value) if isinstance(value, dict) else None,
     )
